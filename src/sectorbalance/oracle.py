@@ -9,6 +9,7 @@ routes and :mod:`sectorbalance.geometry` is meaningful evidence.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,14 @@ from .geometry import (
 # stream keyed by (seed, shard index), so shard results can be combined in
 # any order without changing the totals.
 _MC_SHARD = 1 << 16
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 class QuadratureError(RuntimeError):
@@ -152,31 +161,49 @@ def montecarlo_area(
     pole, so every sample lands in exactly one sector.  Estimates are
     ``pi*a^2`` times the hit fraction; standard errors come from the binomial
     variance.  Sampling uses the counter-based Philox generator in fixed-size
-    shards keyed by (seed, shard index): results are bit-identical for a
-    given spec regardless of how shards are scheduled.
+    shards keyed by (seed, shard index).  Shards run on up to one thread per
+    CPU the process may use, and their integer counts are summed in shard
+    order, so results are bit-identical for a given spec regardless of how
+    shards are scheduled.
     """
     b = part.boundaries
     n_sect = len(b)
     offsets = np.array([t - b[0] for t in b], dtype=np.float64)
     cx = cfg.r0 * math.cos(cfg.theta0)
     cy = cfg.r0 * math.sin(cfg.theta0)
+    n_shards = -(-spec.samples // _MC_SHARD)
 
-    counts = np.zeros(n_sect, dtype=np.int64)
-    remaining = spec.samples
-    shard = 0
-    while remaining > 0:
-        m = min(_MC_SHARD, remaining)
+    def shard_counts(shard: int) -> np.ndarray:
+        # In-place ufuncs keep about three float arrays live per worker; the
+        # order of operations is that of the plain expression
+        # mod(arctan2(cy + r*sin(ang), cx + r*cos(ang)) - b[0], 2*pi), so the
+        # counts are bit-identical to it.
+        m = min(_MC_SHARD, spec.samples - shard * _MC_SHARD)
         key = np.array([spec.seed, shard], dtype=np.uint64)
         gen = np.random.Generator(np.random.Philox(key=key))
-        radius = cfg.a * np.sqrt(gen.random(m))
-        angle = gen.random(m) * TWO_PI
-        x = cx + radius * np.cos(angle)
-        y = cy + radius * np.sin(angle)
-        t = np.mod(np.arctan2(y, x) - b[0], TWO_PI)
+        r = gen.random(m)
+        np.sqrt(r, out=r)
+        r *= cfg.a
+        ang = gen.random(m)
+        ang *= TWO_PI
+        x = np.cos(ang)
+        x *= r
+        x += cx
+        y = np.sin(ang, out=ang)
+        y *= r
+        y += cy
+        t = np.arctan2(y, x, out=x)
+        t -= b[0]
+        np.mod(t, TWO_PI, out=t)
         idx = np.searchsorted(offsets, t, side="right") - 1
-        counts += np.bincount(idx, minlength=n_sect)
-        remaining -= m
-        shard += 1
+        return np.bincount(idx, minlength=n_sect)
+
+    # NumPy releases the GIL in the Philox fill and in the ufuncs, and shards
+    # share no state, so threads run them in parallel.
+    from concurrent.futures import ThreadPoolExecutor  # ~7 ms; Monte Carlo only
+
+    with ThreadPoolExecutor(max_workers=min(n_shards, _available_cpus())) as pool:
+        counts = sum(pool.map(shard_counts, range(n_shards)))
 
     disk = math.pi * cfg.a * cfg.a
     out = []

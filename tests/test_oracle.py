@@ -1,6 +1,8 @@
 import math
+import os
 import random
 
+import numpy as np
 import pytest
 
 from sectorbalance import (
@@ -18,9 +20,41 @@ from sectorbalance import (
     quadrature_residual,
     sector_area_closed,
 )
+from sectorbalance.geometry import TWO_PI
 from sectorbalance.verify import random_circle, random_fan
 
 PI = math.pi
+
+
+def serial_montecarlo_area(cfg, part, spec):
+    """Reference: the single-threaded shard loop that ``montecarlo_area`` replaced."""
+    b = part.boundaries
+    n_sect = len(b)
+    offsets = np.array([t - b[0] for t in b], dtype=np.float64)
+    cx = cfg.r0 * math.cos(cfg.theta0)
+    cy = cfg.r0 * math.sin(cfg.theta0)
+    counts = np.zeros(n_sect, dtype=np.int64)
+    remaining = spec.samples
+    shard = 0
+    while remaining > 0:
+        m = min(1 << 16, remaining)
+        key = np.array([spec.seed, shard], dtype=np.uint64)
+        gen = np.random.Generator(np.random.Philox(key=key))
+        radius = cfg.a * np.sqrt(gen.random(m))
+        angle = gen.random(m) * TWO_PI
+        x = cx + radius * np.cos(angle)
+        y = cy + radius * np.sin(angle)
+        t = np.mod(np.arctan2(y, x) - b[0], TWO_PI)
+        idx = np.searchsorted(offsets, t, side="right") - 1
+        counts += np.bincount(idx, minlength=n_sect)
+        remaining -= m
+        shard += 1
+    disk = math.pi * cfg.a * cfg.a
+    out = []
+    for c in counts.tolist():
+        frac = c / spec.samples
+        out.append((disk * frac, disk * math.sqrt(frac * (1.0 - frac) / spec.samples)))
+    return out
 
 
 class TestQuadratureArea:
@@ -133,3 +167,12 @@ class TestMonteCarlo:
             estimates = montecarlo_area(cfg, part, MonteCarloSpec(samples=200_000, seed=11))
             for (est, se), ref in zip(estimates, quad):
                 assert abs(est - ref) <= 4.0 * se
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1, 2, 3}], ids=["one_worker", "four_workers"])
+    @pytest.mark.parametrize("samples", [1, 65_535, 65_536, 65_537, 3 * 65_536 + 5])
+    def test_equals_serial_shard_loop(self, monkeypatch, cpus, samples):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        cfg = CircleConfig(1.4, 0.9, -2.2)
+        part = build_partition(ChordFan((-0.3, 0.4, 0.8, 1.1, 1.9)))
+        spec = MonteCarloSpec(samples=samples, seed=2**64 - 3)
+        assert montecarlo_area(cfg, part, spec) == serial_montecarlo_area(cfg, part, spec)

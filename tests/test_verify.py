@@ -1,0 +1,46 @@
+import pytest
+
+from sectorbalance import area_report, verify
+from sectorbalance.verify import check_pizza_cancellation, check_solver_soundness
+
+
+class TestPizzaCancellation:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_correct_code_passes(self, seed):
+        check = check_pizza_cancellation(seed, 100, 20_000)
+        assert check.passed, check.detail
+        assert "<= 4.85 (Bonferroni over 800 sectors" in check.detail
+
+    def test_one_sector_six_standard_errors_off_fails(self, monkeypatch):
+        real = verify.montecarlo_area
+        calls = []
+
+        def shifted(cfg, part, spec):
+            estimates = real(cfg, part, spec)
+            if not calls:
+                # Exactly 6 standard errors from the closed form, whatever the noise.
+                se = estimates[0][1]
+                estimates[0] = (area_report(cfg, part).sector_areas[0] + 6.0 * se, se)
+            calls.append(spec)
+            return estimates
+
+        monkeypatch.setattr(verify, "montecarlo_area", shifted)
+        # The gate's sizes: 800 z-scores, so the bound is 4.85.
+        check = check_pizza_cancellation(0, 100, 20_000)
+        assert len(calls) == 100
+        assert "<= 4.85" in check.detail
+        assert not check.passed, check.detail
+
+
+class TestSolverSoundness:
+    def test_real_bug_is_not_a_skipped_trial(self, monkeypatch):
+        real = verify.residual_eight
+
+        def broken(cfg, *angles):
+            if cfg.a > 1.5:
+                raise TypeError("injected")
+            return real(cfg, *angles)
+
+        monkeypatch.setattr(verify, "residual_eight", broken)
+        with pytest.raises(TypeError, match="injected"):
+            check_solver_soundness(0, 50)
