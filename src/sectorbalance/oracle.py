@@ -1,9 +1,9 @@
 """Independent numerical area estimates used to validate the closed forms.
 
-Two routes: deterministic adaptive Simpson quadrature of the defining
-integral ``(1/2) Int r^2 dtheta``, and seeded Monte Carlo over the disk.
-Neither touches the closed-form antiderivative, so agreement between the
-routes and :mod:`sectorbalance.geometry` is meaningful evidence.
+Two routes: deterministic adaptive Gauss-Kronrod (G7K15) quadrature of the
+defining integral ``(1/2) Int r^2 dtheta``, and seeded Monte Carlo over the
+disk.  Neither touches the closed-form antiderivative, so agreement between
+the routes and :mod:`sectorbalance.geometry` is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -30,6 +30,24 @@ from .geometry import (
 # any order without changing the totals.
 _MC_SHARD = 1 << 16
 
+# The 7-point Gauss / 15-point Kronrod rule on [-1, 1] (QK15 of Piessens et
+# al., QUADPACK, 1983).  Each row is a node pair +-x with its Kronrod weight
+# and its Gauss weight, which is 0 where the node is Kronrod-only; the centre
+# node x = 0 carries the (Kronrod, Gauss) weights of _QK15_CENTRE.
+_QK15_PAIRS = (
+    (0.991455371120812639206854697526329, 0.022935322010529224963732008058970, 0.0),
+    (0.949107912342758524526189684047851, 0.063092092629978553290700663189204,
+     0.129484966168869693270611432679082),
+    (0.864864423359769072789712788640926, 0.104790010322250183839876322541518, 0.0),
+    (0.741531185599394439863864773280788, 0.140653259715525918745189590510238,
+     0.279705391489276667901467771423780),
+    (0.586087235467691130294144845693013, 0.169004726639267902826583426598550, 0.0),
+    (0.405845151377397166906606412076961, 0.190350578064785409913256402421014,
+     0.381830050505118944950369775488975),
+    (0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0),
+)
+_QK15_CENTRE = (0.209482141084727828012999174891714, 0.417959183673469387755102040816327)
+
 
 def _available_cpus() -> int:
     """CPUs this process may run on (its affinity mask where the OS has one)."""
@@ -45,7 +63,8 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerance and recursion budget for adaptive Simpson integration."""
+    """Absolute tolerance and subdivision depth budget for adaptive G7K15
+    integration."""
 
     abs_tol: float
     max_depth: int = 40
@@ -82,12 +101,14 @@ def quadrature_area(
     theta_b: float,
     spec: QuadratureSpec | None = None,
 ) -> float:
-    """Adaptive Simpson estimate of the sector integral on [theta_a, theta_b].
+    """Adaptive Gauss-Kronrod (G7K15) estimate of the sector integral on
+    [theta_a, theta_b].
 
-    Subdivides until the Richardson error estimate (the 15x rule) drops below
-    the per-interval share of ``spec.abs_tol``; the returned value includes
-    the extrapolation term.  The integrand is analytic for r0 < a, so the
-    scheme needs no endpoint special-casing.  Fully deterministic.
+    Panels are taken depth-first, left half first.  A panel is accepted when
+    its error estimate |K15 - G7| is within its share of ``spec.abs_tol``,
+    and its K15 value is added to the total; otherwise it is halved, and so
+    is its share.  The integrand is analytic for r0 < a, so the scheme needs
+    no endpoint special-casing.  Fully deterministic.
     """
     _check_interval(theta_a, theta_b)
     if spec is None:
@@ -106,29 +127,31 @@ def quadrature_area(
         r = r0 * cos(u) + sqrt(a2 - s * s)
         return 0.5 * r * r
 
-    def recurse(lo, mid, hi, flo, fmid, fhi, whole, tol, depth):
-        lm = 0.5 * (lo + mid)
-        rm = 0.5 * (mid + hi)
-        flm = f(lm)
-        frm = f(rm)
-        left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
-        right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
-        err = (left + right - whole) / 15.0
-        if abs(err) <= tol:
-            return left + right + err
+    total = 0.0
+    stack = [(theta_a, theta_b, spec.abs_tol, 0)]
+    while stack:
+        lo, hi, tol, depth = stack.pop()
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        fmid = f(mid)
+        kronrod = _QK15_CENTRE[0] * fmid
+        gauss = _QK15_CENTRE[1] * fmid
+        for x, wk, wg in _QK15_PAIRS:
+            dx = half * x
+            pair = f(mid - dx) + f(mid + dx)
+            kronrod += wk * pair
+            gauss += wg * pair
+        if abs(kronrod - gauss) * half <= tol:
+            total += kronrod * half
+            continue
         if depth >= spec.max_depth:
             raise QuadratureError(
                 f"tolerance {spec.abs_tol!r} not met within max_depth={spec.max_depth}"
             )
-        half = 0.5 * tol
-        return recurse(lo, lm, mid, flo, flm, fmid, left, half, depth + 1) + recurse(
-            mid, rm, hi, fmid, frm, fhi, right, half, depth + 1
-        )
-
-    mid = 0.5 * (theta_a + theta_b)
-    flo, fmid, fhi = f(theta_a), f(mid), f(theta_b)
-    whole = (theta_b - theta_a) / 6.0 * (flo + 4.0 * fmid + fhi)
-    return recurse(theta_a, mid, theta_b, flo, fmid, fhi, whole, spec.abs_tol, 0)
+        tol *= 0.5
+        stack.append((mid, hi, tol, depth + 1))
+        stack.append((lo, mid, tol, depth + 1))
+    return total
 
 
 def quadrature_report(

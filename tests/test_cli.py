@@ -79,6 +79,20 @@ class TestAreas:
         assert code == 1
         assert "chords" in err
 
+    def test_unreachable_quadrature_tolerance_exits_3(self, capsys):
+        # At this tolerance a panel passes only where K15 and G7 agree to the
+        # last bit; three of this fan's eight sectors have a branch that never
+        # does within 40 halvings.
+        code, out, err = run(capsys, ["areas", "--a", "1.5515166083670648",
+                                      "--r0", "0.5110568400665382",
+                                      "--theta0", "-2.9676733569261673",
+                                      "--chords=0.5587217688464459,0.8407669168770204,"
+                                      "1.966972422057961,2.986734962603703",
+                                      "--mode", "quadrature", "--tol", "1e-300"])
+        assert code == 3
+        assert out == ""
+        assert "not met within max_depth=40" in err
+
     def test_degrees_flag_converts_inputs(self, capsys):
         _, rad_out, _ = run(capsys, ["areas", "--a", "1", "--r0", "0.4",
                                      "--theta0", str(PI / 6), "--chords", f"0,{PI / 2}"])

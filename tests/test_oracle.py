@@ -5,6 +5,9 @@ import random
 import numpy as np
 import pytest
 
+import sectorbalance
+import sectorbalance.geometry
+import sectorbalance.oracle
 from sectorbalance import (
     ChordFan,
     CircleConfig,
@@ -109,6 +112,62 @@ class TestQuadratureArea:
         cfg = CircleConfig(1.0, 0.7, 1.1)
         fan = (0.3, 0.3 + PI / 4, 0.3 + PI / 2, 0.3 + 3 * PI / 4)
         assert quadrature_residual(cfg, fan) == pytest.approx(0.0, abs=1e-10)
+
+
+# A fan on which adaptive Simpson accepted sector 2 1.27e-10 * a^2 off.  The
+# reference areas integrate (1/2) r^2 over each sector's float boundaries with
+# mpmath.quad at 40 digits (tanh-sinh and Gauss-Legendre agree to all 40),
+# rounded to 20 significant digits.
+FIXED_FAN_CFG = CircleConfig(1.5515166083670648, 0.5110568400665382, -2.9676733569261673)
+FIXED_FAN = ChordFan((0.5587217688464459, 0.8407669168770204, 1.966972422057961,
+                      2.986734962603703))
+FIXED_FAN_AREAS = (
+    0.16737091496662876166,
+    0.99107994991453947001,
+    1.7199114906780299595,
+    1.4966254559673044215,
+    0.54763433148357105382,
+    1.5368342066942778480,
+    0.71120664849535317225,
+    0.39179073171345185464,
+)
+
+
+class TestQuadratureAccuracy:
+    def test_fixed_fan_matches_mpmath(self):
+        cfg = FIXED_FAN_CFG
+        a2 = cfg.a * cfg.a
+        report = quadrature_report(cfg, build_partition(FIXED_FAN))
+        assert len(report.sector_areas) == len(FIXED_FAN_AREAS)
+        for got, want in zip(report.sector_areas, FIXED_FAN_AREAS):
+            assert abs(got - want) <= 1e-12 * a2
+        assert abs(report.total - PI * a2) <= 1e-12 * a2
+
+    def test_whole_disk_without_closed_form(self):
+        rng = random.Random(6)
+        for _ in range(500):
+            n = rng.randint(1, 9)
+            cfg = random_circle(rng, max_offset=0.999)
+            t1 = rng.uniform(-PI, PI)
+            fan = ChordFan((t1, *sorted(t1 + rng.uniform(1e-9, 0.99 * PI) for _ in range(n - 1))))
+            report = quadrature_report(cfg, build_partition(fan))
+            a2 = cfg.a * cfg.a
+            assert abs(math.fsum(report.sector_areas) - PI * a2) <= 2 * n * 1e-12 * a2
+
+    def test_independent_of_closed_form(self, monkeypatch):
+        cfg = FIXED_FAN_CFG
+        part = build_partition(FIXED_FAN)
+        area = quadrature_area(cfg, -1.0, 2.5)
+        report = quadrature_report(cfg, part)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the quadrature oracle called the closed form")
+
+        for module in (sectorbalance, sectorbalance.geometry, sectorbalance.oracle):
+            for name in ("sector_area_closed", "area_report", "substituted_angle"):
+                monkeypatch.setattr(module, name, forbidden, raising=False)
+        assert quadrature_area(cfg, -1.0, 2.5) == area
+        assert quadrature_report(cfg, part) == report
 
 
 class TestMonteCarlo:
