@@ -22,6 +22,7 @@ from .conditions import (
     VARIANT_AS_PRINTED,
     VARIANT_CORRECTED,
     case_residual,
+    resolve_case,
     residual_six,
 )
 from .geometry import (
@@ -61,16 +62,7 @@ _CLI_CASES = {
     "general": CASE_GENERAL,
 }
 
-_TAG_BY_SIZE = {2: CASE_FOUR, 3: CASE_SIX, 4: CASE_EIGHT}
-
-
 _DEG = math.pi / 180.0
-
-
-def _effective_tag(case_tag: str | None, chords: tuple[float, ...]) -> str:
-    if case_tag is not None:
-        return case_tag
-    return _TAG_BY_SIZE.get(len(chords), CASE_GENERAL)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -302,7 +294,7 @@ def _cmd_solve(args) -> int:
 
     payload = {
         "command": "solve",
-        "case": _effective_tag(case_tag, chords),
+        "case": resolve_case(case_tag, len(chords)),
         "free_parameter": free_name,
         "bracket": bracket_field,
         **_circle_fields(cfg, chords),
@@ -341,7 +333,7 @@ def _cmd_sweep(args) -> int:
 
     payload = {
         "command": "sweep",
-        "case": _effective_tag(case_tag, chords),
+        "case": resolve_case(case_tag, len(chords)),
         **_circle_fields(cfg, chords),
         "axes": [{"name": ax.name, "lo": ax.lo, "hi": ax.hi, "count": ax.count}
                  for ax in grid.axes],
@@ -473,8 +465,11 @@ def run_cli(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"sectorbalance: domain error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, QuadratureError) as exc:
+    except SolverError as exc:
         print(f"sectorbalance: solver error: {exc}", file=sys.stderr)
+        return 3
+    except QuadratureError as exc:
+        print(f"sectorbalance: quadrature error: {exc}", file=sys.stderr)
         return 3
 
 

@@ -1,10 +1,21 @@
 """Balance residuals and the equal-area predicates for chord fans.
 
 The balance residual of a fan is the odd-sector area sum minus half the disk
-area; it vanishes exactly when the alternating sector sums are equal.  For
-2, 3, and 4 chords (four, six, and eight sectors) the residual collapses to
-short closed forms; for any other chord count it is evaluated directly from
-the per-sector areas.
+area; it vanishes exactly when the alternating sector sums are equal.  With
+base angles ``t_1 < ... < t_n`` and the alternating sign ``s_i = (-1)^i``,
+one closed form serves every chord count and costs O(n):
+
+    even n:  (r0^2/2)*K + a^2*L,  K = sum s_i*sin 2(t_i-theta0),
+                                  L = sum s_i*t_i - pi/2
+    odd n:   (a^2/2) * sum s_i*(2x_i + sin 2x_i),
+             x_i = arcsin((r0/a)*sin(t_i-theta0))
+
+For even n the arcsine terms of opposite sectors cancel; for odd n they
+persist, so equal spacing alone does not balance the fan.  Two, three, and
+four chords (four, six, and eight sectors) keep their own case tags and
+entry points; every other count is the ``general-n`` case.
+:func:`residual_general` instead sums the 2n per-sector areas, an
+independent route kept to cross-check the closed form.
 
 The six-sector case ships in two variants.  The default ``corrected`` form
 is validated against the quadrature oracle.  The ``as-printed`` form is a
@@ -26,7 +37,6 @@ from .geometry import (
     DomainError,
     area_report,
     build_partition,
-    substituted_angle,
 )
 
 CASE_FOUR = "four"
@@ -84,6 +94,56 @@ def _sin2(cfg: CircleConfig, theta: float) -> float:
     return math.sin(2.0 * (theta - cfg.theta0))
 
 
+def _closed_form(
+    theta0: float, rho: float, angles: tuple[float, ...]
+) -> tuple[float, float] | float:
+    """The alternating sums of the closed-form residual, in O(n); ``rho = r0/a``.
+
+    Even n returns ``(K, L)``, which do not depend on ``rho``; odd n returns
+    the arcsine bracket ``sum s_i*(2x_i + sin 2x_i)``.  The accumulation
+    order is fixed (chord pairs in turn for even n; for odd n the
+    even-indexed x ascending, then the odd-indexed x descending, then the
+    sines from t_n down to t_1), so the two-, three- and four-chord
+    residuals round exactly as their written-out formulas.
+    """
+    sin = math.sin
+    n = len(angles)
+    if n % 2 == 0:
+        lo, hi = angles[0], angles[1]
+        k_sum = sin(2.0 * (hi - theta0)) - sin(2.0 * (lo - theta0))
+        width = hi - lo
+        for i in range(2, n, 2):
+            lo, hi = angles[i], angles[i + 1]
+            k_sum += sin(2.0 * (hi - theta0))
+            k_sum -= sin(2.0 * (lo - theta0))
+            width += hi - lo
+        return k_sum, width - 0.5 * math.pi
+    asin = math.asin
+    xs = []  # a loop, not a comprehension: cheaper on the short fans that dominate
+    for t in angles:
+        xs.append(asin(rho * sin(t - theta0)))
+    # Start from x_2 itself, not 0.0 + x_2, to keep the sign of a zero.
+    x_sum = xs[1] if n > 1 else 0.0
+    for i in range(3, n, 2):
+        x_sum += xs[i]
+    for i in range(n - 1, -1, -2):
+        x_sum -= xs[i]
+    bracket = 2.0 * x_sum
+    for i in range(n - 1, 0, -2):
+        bracket -= sin(2.0 * xs[i])
+        bracket += sin(2.0 * xs[i - 1])
+    return bracket - sin(2.0 * xs[0])
+
+
+def _residual_value(cfg: CircleConfig, angles: tuple[float, ...]) -> float:
+    """Corrected balance residual of an already validated fan."""
+    terms = _closed_form(cfg.theta0, cfg.r0 / cfg.a, angles)
+    if len(angles) % 2:
+        return 0.5 * cfg.a * cfg.a * terms
+    k_sum, deficit = terms
+    return 0.5 * cfg.r0 * cfg.r0 * k_sum + cfg.a * cfg.a * deficit
+
+
 def residual_eight(
     cfg: CircleConfig, t1: float, t2: float, t3: float, t4: float
 ) -> ResidualReport:
@@ -95,10 +155,7 @@ def residual_eight(
     """
     angles = (t1, t2, t3, t4)
     _check_half_turn_order(angles)
-    sine_part = _sin2(cfg, t2) - _sin2(cfg, t1) + _sin2(cfg, t4) - _sin2(cfg, t3)
-    width_part = (t2 - t1) + (t4 - t3) - 0.5 * math.pi
-    value = 0.5 * cfg.r0 * cfg.r0 * sine_part + cfg.a * cfg.a * width_part
-    return ResidualReport(CASE_EIGHT, VARIANT_CORRECTED, value, cfg, angles)
+    return ResidualReport(CASE_EIGHT, VARIANT_CORRECTED, _residual_value(cfg, angles), cfg, angles)
 
 
 def residual_four(cfg: CircleConfig, t1: float, t2: float) -> ResidualReport:
@@ -108,22 +165,7 @@ def residual_four(cfg: CircleConfig, t1: float, t2: float) -> ResidualReport:
     """
     angles = (t1, t2)
     _check_half_turn_order(angles)
-    sine_part = _sin2(cfg, t2) - _sin2(cfg, t1)
-    value = 0.5 * cfg.r0 * cfg.r0 * sine_part + cfg.a * cfg.a * (t2 - t1 - 0.5 * math.pi)
-    return ResidualReport(CASE_FOUR, VARIANT_CORRECTED, value, cfg, angles)
-
-
-def _six_bracket(cfg: CircleConfig, t1: float, t2: float, t3: float) -> float:
-    """Arcsine bracket of the six-sector residual: 2(x2-x3-x1) - sin 2x3 + sin 2x2 - sin 2x1."""
-    x1 = substituted_angle(cfg, t1)
-    x2 = substituted_angle(cfg, t2)
-    x3 = substituted_angle(cfg, t3)
-    return (
-        2.0 * (x2 - x3 - x1)
-        - math.sin(2.0 * x3)
-        + math.sin(2.0 * x2)
-        - math.sin(2.0 * x1)
-    )
+    return ResidualReport(CASE_FOUR, VARIANT_CORRECTED, _residual_value(cfg, angles), cfg, angles)
 
 
 def residual_six(
@@ -144,7 +186,7 @@ def residual_six(
     """
     angles = (t1, t2, t3)
     _check_half_turn_order(angles)
-    bracket = _six_bracket(cfg, t1, t2, t3)
+    bracket = _closed_form(cfg.theta0, cfg.r0 / cfg.a, angles)
     if variant == VARIANT_CORRECTED:
         value = 0.5 * cfg.a * cfg.a * bracket
     elif variant == VARIANT_AS_PRINTED:
@@ -159,11 +201,12 @@ def residual_six(
 
 
 def residual_general(cfg: CircleConfig, fan: ChordFan) -> ResidualReport:
-    """Balance residual for any chord count, from the per-sector closed forms.
+    """Balance residual for any chord count, summed from the 2n sector areas.
 
-    For an even number of chords, opposite sectors share parity and their
-    arcsine terms cancel inside the odd sum; for an odd count they persist,
-    so equal spacing alone does not balance the fan.
+    Slower than the closed form that :func:`case_residual` uses, and
+    independent of it, so it serves as the cross-check.  It builds the
+    antipodal partition, so it raises on some fans whose span lies within
+    rounding of a half-turn; the closed form accepts them.
     """
     report = area_report(cfg, build_partition(fan))
     value = report.odd_sum - 0.5 * math.pi * cfg.a * cfg.a
@@ -171,6 +214,26 @@ def residual_general(cfg: CircleConfig, fan: ChordFan) -> ResidualReport:
 
 
 _CASE_SIZES = {CASE_FOUR: 2, CASE_SIX: 3, CASE_EIGHT: 4}
+_CASE_BY_SIZE = {size: tag for tag, size in _CASE_SIZES.items()}
+
+
+def resolve_case(case_tag: str | None, n: int) -> str:
+    """The case tag that :func:`case_residual` uses for ``n`` base angles.
+
+    ``None`` infers it: two, three, and four angles map to ``four``,
+    ``six``, and ``eight``, any other count to ``general-n``.  An explicit
+    tag must be known and, unless it is ``general-n``, match ``n``.
+    """
+    if case_tag is None:
+        return _CASE_BY_SIZE.get(n, CASE_GENERAL)
+    if case_tag == CASE_GENERAL:
+        return case_tag
+    expected = _CASE_SIZES.get(case_tag)
+    if expected is None:
+        raise DomainError(f"unknown case tag {case_tag!r}")
+    if n != expected:
+        raise DomainError(f"case {case_tag!r} takes {expected} base angles, got {n}")
+    return case_tag
 
 
 def case_residual(
@@ -178,27 +241,21 @@ def case_residual(
 ) -> ResidualReport:
     """Dispatch to the residual for ``case_tag``, inferring it from ``len(angles)``.
 
-    Two, three, and four base angles map to the four-, six-, and eight-sector
-    closed forms; anything else (or an explicit ``general-n``) goes through
-    :func:`residual_general`.
+    Two, three, and four base angles go through :func:`residual_four`,
+    :func:`residual_six`, and :func:`residual_eight`; any other count (or an
+    explicit ``general-n``) evaluates the same closed form on a validated
+    :class:`ChordFan`.
     """
-    angles = tuple(float(t) for t in angles)
-    if case_tag is None:
-        case_tag = {2: CASE_FOUR, 3: CASE_SIX, 4: CASE_EIGHT}.get(len(angles), CASE_GENERAL)
-    if case_tag == CASE_GENERAL:
-        return residual_general(cfg, ChordFan(angles))
-    expected = _CASE_SIZES.get(case_tag)
-    if expected is None:
-        raise DomainError(f"unknown case tag {case_tag!r}")
-    if len(angles) != expected:
-        raise DomainError(
-            f"case {case_tag!r} takes {expected} base angles, got {len(angles)}"
-        )
+    angles = tuple(map(float, angles))
+    case_tag = resolve_case(case_tag, len(angles))
     if case_tag == CASE_FOUR:
         return residual_four(cfg, *angles)
     if case_tag == CASE_SIX:
         return residual_six(cfg, *angles)
-    return residual_eight(cfg, *angles)
+    if case_tag == CASE_EIGHT:
+        return residual_eight(cfg, *angles)
+    ChordFan(angles)
+    return ResidualReport(CASE_GENERAL, VARIANT_CORRECTED, _residual_value(cfg, angles), cfg, angles)
 
 
 def special_case_eight(
@@ -219,10 +276,9 @@ def special_case_eight(
     ``t1+t3-2*theta0`` falls on a pole of the tangent.
     """
     _check_half_turn_order((t1, t2, t3, t4))
-    width_ok = abs((t2 - t1) + (t4 - t3) - 0.5 * math.pi) <= tol
-    lhs = _sin2(cfg, t4) + _sin2(cfg, t2)
-    rhs = _sin2(cfg, t3) + _sin2(cfg, t1)
-    sine_ok = abs(lhs - rhs) <= tol
+    k_sum, deficit = _closed_form(cfg.theta0, cfg.r0 / cfg.a, (t1, t2, t3, t4))
+    width_ok = abs(deficit) <= tol
+    sine_ok = abs(k_sum) <= tol
     arg = t1 + t3 - 2.0 * cfg.theta0
     if abs(math.remainder(arg - 0.5 * math.pi, math.pi)) <= tol:
         tan_form: Optional[float] = None
@@ -236,9 +292,8 @@ def special_case_four(
 ) -> FourSectorCheck:
     """Sufficient equal-area conditions for two chords: quarter-turn width and matched sines."""
     _check_half_turn_order((t1, t2))
-    width_ok = abs((t2 - t1) - 0.5 * math.pi) <= tol
-    sine_ok = abs(_sin2(cfg, t2) - _sin2(cfg, t1)) <= tol
-    return FourSectorCheck(width_ok, sine_ok)
+    k_sum, deficit = _closed_form(cfg.theta0, cfg.r0 / cfg.a, (t1, t2))
+    return FourSectorCheck(abs(deficit) <= tol, abs(k_sum) <= tol)
 
 
 def special_case_six(
@@ -257,5 +312,5 @@ def special_case_six(
     """
     _check_half_turn_order((t1, t2, t3))
     sine_ok = abs(_sin2(cfg, t3) - _sin2(cfg, t1)) <= tol
-    bracket_ok = abs(_six_bracket(cfg, t1, t2, t3)) <= tol
+    bracket_ok = abs(_closed_form(cfg.theta0, cfg.r0 / cfg.a, (t1, t2, t3))) <= tol
     return SixSectorCheck(sine_ok, bracket_ok)

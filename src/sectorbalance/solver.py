@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .conditions import _CASE_SIZES, CASE_EIGHT, CASE_FOUR, case_residual
+from .conditions import _CASE_SIZES, CASE_EIGHT, CASE_FOUR, _closed_form, case_residual
 from .geometry import ChordFan, CircleConfig, DomainError
 from .oracle import quadrature_residual
 
@@ -279,18 +279,7 @@ def solve_pole_radius(
             f"case {case_tag!r} takes {_CASE_SIZES[case_tag]} base angles, got {len(base)}"
         )
     ChordFan(base)
-
-    def s(t: float) -> float:
-        return math.sin(2.0 * (t - theta0))
-
-    if case_tag == CASE_FOUR:
-        t1, t2 = base
-        K = s(t2) - s(t1)
-        L = (t2 - t1) - 0.5 * math.pi
-    else:
-        t1, t2, t3, t4 = base
-        K = s(t2) - s(t1) + s(t4) - s(t3)
-        L = (t2 - t1) + (t4 - t3) - 0.5 * math.pi
+    K, L = _closed_form(theta0, 0.0, base)  # even n: K and L do not depend on r0
     if abs(K) <= _DEGENERATE_K:
         raise SolverError(
             f"degenerate configuration: sine sum K={K!r} makes the residual independent of r0"

@@ -91,6 +91,7 @@ class TestAreas:
                                       "--mode", "quadrature", "--tol", "1e-300"])
         assert code == 3
         assert out == ""
+        assert "sectorbalance: quadrature error:" in err
         assert "not met within max_depth=40" in err
 
     def test_degrees_flag_converts_inputs(self, capsys):
@@ -144,6 +145,15 @@ class TestResidual:
         code, _, _ = run(capsys, ["residual", "--case", "eight", "--a", "1",
                                   "--r0", "0.2", "--theta0", "0", "--chords", "0,1"])
         assert code == 2
+
+    def test_half_turn_edge_fan_has_a_residual(self, capsys):
+        # The span is one rounding step below pi: a valid fan, though its
+        # antipodal partition rounds to a full turn.
+        code, out, _ = run(capsys, ["residual", "--a", "1", "--r0", "0.5", "--theta0", "0.4",
+                                    "--chords",
+                                    "0.177,0.677,1.177,1.677,2.177,3.3185926535897927"])
+        assert code == 0
+        assert json.loads(out)["case"] == "general-n"
 
 
 class TestSolve:
@@ -243,6 +253,33 @@ class TestSweep:
     def test_unknown_axis_is_domain_error(self, capsys):
         assert run_cli(["sweep", "--a", "1", "--chords", "0,1",
                         "--grid", "radius=0:1:5"]) == 2
+
+
+# (chord count, --case flag, expected "case" field)
+CASE_FIELDS = [
+    (2, None, "four"), (2, "four", "four"), (2, "general", "general-n"),
+    (3, None, "six"), (3, "six", "six"), (3, "general", "general-n"),
+    (4, None, "eight"), (4, "eight", "eight"), (4, "general", "general-n"),
+    (5, None, "general-n"), (5, "general", "general-n"),
+    (6, None, "general-n"), (6, "general", "general-n"),
+]
+
+
+class TestCaseField:
+    @pytest.mark.parametrize("n,case,expected", CASE_FIELDS)
+    def test_solve_and_sweep_report_the_case(self, capsys, n, case, expected):
+        # Centred pole and equal spacing: t1 = 0 balances every even fan, and
+        # an odd fan's residual vanishes everywhere, so the scan finds a root.
+        chords = ",".join(repr(k * PI / n) for k in range(n))
+        flags = ["--a", "1", "--r0", "0", "--theta0", "0", "--chords", chords]
+        if case is not None:
+            flags += ["--case", case]
+        code, out, _ = run(capsys, ["sweep", *flags, "--grid", "r0=0:0.5:3"])
+        assert code == 0
+        assert json.loads(out)["case"] == expected
+        code, out, _ = run(capsys, ["solve", *flags, "--free-index", "1"])
+        assert code == 0
+        assert json.loads(out)["case"] == expected
 
 
 class TestRender:

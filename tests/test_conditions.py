@@ -316,3 +316,89 @@ class TestCenteredPoleTranslation:
             assert four.residual == pytest.approx(
                 a * a * (w1 - PI / 2), abs=1e-12 * a * a
             )
+
+
+def _sin2_as_written(cfg, t):
+    return math.sin(2.0 * (t - cfg.theta0))
+
+
+def _four_as_written(cfg, t1, t2):
+    sine_part = _sin2_as_written(cfg, t2) - _sin2_as_written(cfg, t1)
+    return 0.5 * cfg.r0 * cfg.r0 * sine_part + cfg.a * cfg.a * (t2 - t1 - 0.5 * PI)
+
+
+def _six_as_written(cfg, t1, t2, t3):
+    x1 = substituted_angle(cfg, t1)
+    x2 = substituted_angle(cfg, t2)
+    x3 = substituted_angle(cfg, t3)
+    bracket = (
+        2.0 * (x2 - x3 - x1)
+        - math.sin(2.0 * x3)
+        + math.sin(2.0 * x2)
+        - math.sin(2.0 * x1)
+    )
+    return 0.5 * cfg.a * cfg.a * bracket
+
+
+def _eight_as_written(cfg, t1, t2, t3, t4):
+    sine_part = (
+        _sin2_as_written(cfg, t2) - _sin2_as_written(cfg, t1)
+        + _sin2_as_written(cfg, t4) - _sin2_as_written(cfg, t3)
+    )
+    width_part = (t2 - t1) + (t4 - t3) - 0.5 * PI
+    return 0.5 * cfg.r0 * cfg.r0 * sine_part + cfg.a * cfg.a * width_part
+
+
+class TestOneClosedForm:
+    @pytest.mark.parametrize(
+        "n,as_written", [(2, _four_as_written), (3, _six_as_written), (4, _eight_as_written)]
+    )
+    def test_small_cases_keep_their_bits(self, n, as_written):
+        # float.hex also tells -0.0 from 0.0, which a centred pole produces.
+        rng = random.Random(4200 + n)
+        for i in range(1000):
+            cfg = random_circle(rng)
+            if i % 10 == 0:
+                cfg = CircleConfig(cfg.a, 0.0, cfg.theta0)
+            angles = random_fan(rng, n=n).base_angles
+            got = case_residual(cfg, angles).residual
+            assert got.hex() == as_written(cfg, *angles).hex()
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_general_tag_matches_sector_sum(self, n):
+        rng = random.Random(9100 + n)
+        for _ in range(200):
+            cfg = random_circle(rng, max_offset=0.999)
+            fan = random_fan(rng, n=n)
+            closed = case_residual(cfg, fan.base_angles, CASE_GENERAL)
+            assert closed.case_tag == CASE_GENERAL
+            assert abs(closed.residual - residual_general(cfg, fan).residual) <= (
+                1e-13 * cfg.a**2
+            )
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
+    def test_even_equal_spacing_balances(self, n):
+        rng = random.Random(9300 + n)
+        for _ in range(100):
+            cfg = random_circle(rng, max_offset=0.999)
+            t1 = rng.uniform(-PI, PI)
+            angles = tuple(t1 + k * PI / n for k in range(n))
+            assert abs(case_residual(cfg, angles).residual) <= 1e-13 * cfg.a**2
+
+
+class TestHalfTurnEdge:
+    # The span is one rounding step below pi, so the fan is valid, but
+    # t_n + pi - t_1 rounds to a full turn and the partition is refused.
+    T1, TN = 0.177, 3.3185926535897927
+
+    @pytest.mark.parametrize("inner", [(), (0.677, 1.177, 1.677, 2.177)])
+    def test_two_and_six_chords_both_evaluate(self, inner):
+        cfg = CircleConfig(1.3, 0.6, 0.4)
+        angles = (self.T1, *inner, self.TN)
+        fan = ChordFan(angles)
+        with pytest.raises(DomainError):
+            build_partition(fan)
+        value = case_residual(cfg, angles).residual
+        # |dR/dt_n| <= a^2 + r0^2, so a 1e-9 nudge moves R by under 2e-9*a^2.
+        nudged = ChordFan(angles[:-1] + (self.TN - 1e-9,))
+        assert abs(value - residual_general(cfg, nudged).residual) <= 1e-8 * cfg.a**2
