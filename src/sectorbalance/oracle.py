@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .geometry import (
     TWO_PI,
@@ -47,6 +46,11 @@ _QK15_PAIRS = (
     (0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0),
 )
 _QK15_CENTRE = (0.209482141084727828012999174891714, 0.417959183673469387755102040816327)
+
+# QK15's roundoff floor: a panel's error estimate is never taken below
+# 50*eps*|K15|, so a tolerance under the roundoff of the panel sums is
+# reported as unmet instead of passed by chance.
+_ROUNDOFF = 50.0 * sys.float_info.epsilon
 
 
 def _available_cpus() -> int:
@@ -105,10 +109,10 @@ def quadrature_area(
     [theta_a, theta_b].
 
     Panels are taken depth-first, left half first.  A panel is accepted when
-    its error estimate |K15 - G7| is within its share of ``spec.abs_tol``,
-    and its K15 value is added to the total; otherwise it is halved, and so
-    is its share.  The integrand is analytic for r0 < a, so the scheme needs
-    no endpoint special-casing.  Fully deterministic.
+    its error estimate max(|K15 - G7|, 50*eps*|K15|) is within its share of
+    ``spec.abs_tol``, and its K15 value is added to the total; otherwise it
+    is halved, and so is its share.  The integrand is analytic for r0 < a,
+    so the scheme needs no endpoint special-casing.  Fully deterministic.
     """
     _check_interval(theta_a, theta_b)
     if spec is None:
@@ -141,7 +145,7 @@ def quadrature_area(
             pair = f(mid - dx) + f(mid + dx)
             kronrod += wk * pair
             gauss += wg * pair
-        if abs(kronrod - gauss) * half <= tol:
+        if max(abs(kronrod - gauss), _ROUNDOFF * abs(kronrod)) * half <= tol:
             total += kronrod * half
             continue
         if depth >= spec.max_depth:
@@ -189,6 +193,12 @@ def montecarlo_area(
     order, so results are bit-identical for a given spec regardless of how
     shards are scheduled.
     """
+    # Imported here, not at module level: only Monte Carlo needs numpy (~120 ms
+    # of start-up) and the thread pool (~7 ms), so other calls never load them.
+    from concurrent.futures import ThreadPoolExecutor
+
+    import numpy as np
+
     b = part.boundaries
     n_sect = len(b)
     offsets = np.array([t - b[0] for t in b], dtype=np.float64)
@@ -223,8 +233,6 @@ def montecarlo_area(
 
     # NumPy releases the GIL in the Philox fill and in the ufuncs, and shards
     # share no state, so threads run them in parallel.
-    from concurrent.futures import ThreadPoolExecutor  # ~7 ms; Monte Carlo only
-
     with ThreadPoolExecutor(max_workers=min(n_shards, _available_cpus())) as pool:
         counts = sum(pool.map(shard_counts, range(n_shards)))
 

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .conditions import _CASE_SIZES, CASE_EIGHT, CASE_FOUR, _closed_form, case_residual
+from .conditions import CASE_EIGHT, CASE_FOUR, _closed_form, case_residual, resolve_case
 from .geometry import ChordFan, CircleConfig, DomainError
 from .oracle import quadrature_residual
 
@@ -274,10 +274,7 @@ def solve_pole_radius(
     base = tuple(float(t) for t in angles)
     if case_tag not in (CASE_FOUR, CASE_EIGHT):
         raise DomainError(f"pole-radius inversion supports cases four and eight, not {case_tag!r}")
-    if len(base) != _CASE_SIZES[case_tag]:
-        raise DomainError(
-            f"case {case_tag!r} takes {_CASE_SIZES[case_tag]} base angles, got {len(base)}"
-        )
+    resolve_case(case_tag, len(base))
     ChordFan(base)
     K, L = _closed_form(theta0, 0.0, base)  # even n: K and L do not depend on r0
     if abs(K) <= _DEGENERATE_K:
@@ -315,10 +312,7 @@ def sweep_grid(
     if not axes:
         raise DomainError("sweep needs at least one axis")
     base = tuple(float(t) for t in base_angles)
-    if case_tag is not None and case_tag in _CASE_SIZES and len(base) != _CASE_SIZES[case_tag]:
-        raise DomainError(
-            f"case {case_tag!r} takes {_CASE_SIZES[case_tag]} base angles, got {len(base)}"
-        )
+    resolve_case(case_tag, len(base))
     for ax in axes:
         if ax.name.startswith("theta") and ax.name != "theta0":
             k = int(ax.name[5:])

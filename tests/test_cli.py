@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -80,19 +81,22 @@ class TestAreas:
         assert "chords" in err
 
     def test_unreachable_quadrature_tolerance_exits_3(self, capsys):
-        # At this tolerance a panel passes only where K15 and G7 agree to the
-        # last bit; three of this fan's eight sectors have a branch that never
-        # does within 40 halvings.
-        code, out, err = run(capsys, ["areas", "--a", "1.5515166083670648",
-                                      "--r0", "0.5110568400665382",
-                                      "--theta0", "-2.9676733569261673",
-                                      "--chords=0.5587217688464459,0.8407669168770204,"
-                                      "1.966972422057961,2.986734962603703",
-                                      "--mode", "quadrature", "--tol", "1e-300"])
-        assert code == 3
-        assert out == ""
-        assert "sectorbalance: quadrature error:" in err
-        assert "not met within max_depth=40" in err
+        fans = [
+            # Three of this fan's eight sectors have a branch whose K15 and G7
+            # never agree to this tolerance within 40 halvings.
+            ["--a", "1.5515166083670648", "--r0", "0.5110568400665382",
+             "--theta0", "-2.9676733569261673",
+             "--chords=0.5587217688464459,0.8407669168770204,1.966972422057961,2.986734962603703"],
+            # Here K15 and G7 round to the same double on some panels, so only
+            # the roundoff floor keeps a sub-roundoff tolerance from passing.
+            ["--a", "1", "--r0", "0.5", "--theta0", "0", "--chords", "0,1"],
+        ]
+        for fan in fans:
+            code, out, err = run(capsys, ["areas", *fan, "--mode", "quadrature", "--tol", "1e-300"])
+            assert code == 3
+            assert out == ""
+            assert "sectorbalance: quadrature error:" in err
+            assert "not met within max_depth=40" in err
 
     def test_degrees_flag_converts_inputs(self, capsys):
         _, rad_out, _ = run(capsys, ["areas", "--a", "1", "--r0", "0.4",
@@ -368,3 +372,69 @@ class TestVerifySubcommand:
                                     "--format", "csv"])
         assert code == 0
         assert out.splitlines()[0] == "name,passed,detail"
+
+
+# Runs run_cli in a fresh interpreter and reports its exit code, its stdout and
+# whether numpy got imported.
+_PROBE = """
+import contextlib, io, json, sys
+from sectorbalance.cli import run_cli
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = run_cli(json.loads(sys.argv[1]))
+print(json.dumps({"code": code, "out": out.getvalue(), "numpy": "numpy" in sys.modules}))
+"""
+
+
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          check=True, timeout=120)
+
+
+def _probe(argv: list[str]) -> dict:
+    return json.loads(_fresh_python("-c", _PROBE, json.dumps(argv)).stdout)
+
+
+class TestStartup:
+    """Only Monte Carlo needs numpy, so nothing else may pay for importing it."""
+
+    @pytest.mark.parametrize("module", ["sectorbalance", "sectorbalance.cli"])
+    def test_import_leaves_numpy_unloaded(self, module):
+        proc = _fresh_python("-c", f"import sys, {module}; print('numpy' in sys.modules)")
+        assert proc.stdout == "False\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["areas", "--a", "1.3", "--r0", "0.5", "--theta0", "0.7", "--chords", "0.2,0.9,1.6"],
+            ["areas", "--a", "1.3", "--r0", "0.5", "--theta0", "0.7", "--chords", "0.2,0.9,1.6",
+             "--format", "csv"],
+            ["areas", "--a", "1.2", "--r0", "0.5", "--theta0", "0.4", "--chords", "0.1,0.9",
+             "--mode", "quadrature"],
+            ["residual", "--case", "six", "--a", "1", "--r0", "0.5", "--theta0", "0.3",
+             "--chords=-0.2,0.3,0.8", "--audit"],
+            ["solve", "--case", "eight", "--a", "1", "--r0", "0.5", "--theta0", "0.2",
+             "--chords", "0,0.8,1.3,2", "--free-index", "4"],
+            ["solve", "--case", "four", "--a", "1", "--theta0", "0",
+             "--chords=-0.7353981633974483,0.7353981633974483"],
+            ["sweep", "--a", "1", "--chords", "0,1.2", "--grid", "r0=0:0.5:2",
+             "--grid", "theta0=0:1:2"],
+            ["render", "--a", "1.3", "--r0", "0.5", "--theta0", "0.7", "--chords", "0.2,0.9,1.6"],
+        ],
+        ids=["areas", "areas-csv", "areas-quadrature", "residual-audit", "solve-free-angle",
+             "solve-pole-radius", "sweep", "render"],
+    )
+    def test_subcommand_leaves_numpy_unloaded(self, argv):
+        result = _probe(argv)
+        assert result["code"] == 0
+        assert result["out"]
+        assert result["numpy"] is False
+
+    def test_montecarlo_loads_numpy_with_unchanged_bytes(self):
+        result = _probe(["areas", "--a", "1", "--r0", "0.5", "--theta0", "0.3",
+                         "--chords", "0,1.2", "--mode", "montecarlo", "--samples", "200000",
+                         "--seed", "7"])
+        assert result["code"] == 0
+        assert result["numpy"] is True
+        # Recorded when numpy was still imported with the package.
+        assert hashlib.sha256(result["out"].encode()).hexdigest() == (
+            "b7ac78ed8aa5e98f6423b0213b8be5c3bd8da764b67779aaf6ff7b56cde77faf")

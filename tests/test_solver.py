@@ -282,6 +282,12 @@ class TestSweepGrid:
         with pytest.raises(DomainError):
             ResidualGrid(axes=(SweepAxis("r0", 0.0, 1.0, 3),), values=(0.0,))
 
+    def test_unknown_case_tag_is_domain_error(self):
+        # Not a grid of NaN: the tag is checked once, before any point.
+        cfg = CircleConfig(1.0, 0.2, 0.0)
+        with pytest.raises(DomainError, match="^unknown case tag 'nonsense'$"):
+            sweep_grid(cfg, (0.0, 1.0), [SweepAxis("r0", 0.0, 0.5, 3)], "nonsense")
+
     def test_random_cells_match_direct_evaluation(self):
         rng = random.Random(9090)
         cfg = random_circle(rng)
