@@ -26,7 +26,7 @@ from .conditions import (
     residual_six,
 )
 from .geometry import (
-    TWO_PI,
+    AreaReport,
     ChordFan,
     CircleConfig,
     DomainError,
@@ -37,12 +37,13 @@ from .oracle import (
     MonteCarloSpec,
     QuadratureError,
     QuadratureSpec,
+    default_quadrature_spec,
     montecarlo_area,
     quadrature_report,
     quadrature_residual,
 )
 from .render import render_svg
-from .serialize import ConfigError, Report, area_rows, read_config, write_report
+from .serialize import ConfigError, Report, read_config, write_report
 from .solver import (
     SolveRequest,
     SolverError,
@@ -148,7 +149,7 @@ def _resolved_inputs(args) -> tuple[CircleConfig, tuple[float, ...], str, float 
 
 
 def _quad_spec(cfg: CircleConfig, tol: float | None) -> QuadratureSpec:
-    return QuadratureSpec(abs_tol=(tol if tol is not None else 1e-12 * cfg.a * cfg.a))
+    return default_quadrature_spec(cfg) if tol is None else QuadratureSpec(abs_tol=tol)
 
 
 def _circle_fields(cfg: CircleConfig, chords: tuple[float, ...]) -> dict:
@@ -165,47 +166,41 @@ def _emit(text: str, out_path: str | None) -> None:
 def _cmd_areas(args) -> int:
     cfg, chords, mode, tol, seed = _resolved_inputs(args)
     part = build_partition(ChordFan(chords))
-    bounds = part.boundaries
-    uppers = bounds[1:] + (bounds[0] + TWO_PI,)
 
     payload = {"command": "areas", "mode": mode, **_circle_fields(cfg, chords)}
-    sectors: list[dict] = []
+    extras = itertools.repeat({})
     if mode == "montecarlo":
         spec = MonteCarloSpec(samples=args.samples, seed=seed)
         estimates = montecarlo_area(cfg, part, spec)
         payload["samples"] = spec.samples
         payload["seed"] = spec.seed
-        areas = [est for est, _ in estimates]
-        for i, ((est, se), lo, hi) in enumerate(zip(estimates, bounds, uppers), start=1):
-            sectors.append(
-                {"index": i, "theta_lo": lo, "theta_hi": hi, "area": est,
-                 "stderr": se, "parity": "odd" if i % 2 else "even"}
-            )
-        odd = math.fsum(areas[0::2])
-        even = math.fsum(areas[1::2])
+        report = AreaReport.from_areas(est for est, _ in estimates)
+        extras = ({"stderr": se} for _, se in estimates)
+    elif mode == "quadrature":
+        report = quadrature_report(cfg, part, _quad_spec(cfg, tol))
+    elif mode == "closed":
+        report = area_report(cfg, part)
     else:
-        if mode == "quadrature":
-            report = quadrature_report(cfg, part, _quad_spec(cfg, tol))
-        elif mode == "closed":
-            report = area_report(cfg, part)
-        else:
-            raise ConfigError(f"areas does not support mode {mode!r}")
-        areas = list(report.sector_areas)
-        for i, (area, lo, hi) in enumerate(zip(areas, bounds, uppers), start=1):
-            sectors.append(
-                {"index": i, "theta_lo": lo, "theta_hi": hi, "area": area,
-                 "parity": "odd" if i % 2 else "even"}
-            )
-        odd, even = report.odd_sum, report.even_sum
+        raise ConfigError(f"areas does not support mode {mode!r}")
+
+    sectors: list[dict] = []
+    rows = []
+    for i, ((lo, hi), area, extra) in enumerate(
+        zip(part.sectors, report.sector_areas, extras), start=1
+    ):
+        parity = "odd" if i % 2 else "even"
+        sectors.append({"index": i, "theta_lo": lo, "theta_hi": hi, "area": area,
+                        **extra, "parity": parity})
+        rows.append((i, lo, hi, area, parity))
     payload["sectors"] = sectors
-    payload["odd_sum"] = odd
-    payload["even_sum"] = even
-    payload["total"] = odd + even
+    payload["odd_sum"] = report.odd_sum
+    payload["even_sum"] = report.even_sum
+    payload["total"] = report.total
 
     report_obj = Report(
         payload=payload,
         csv_header=("index", "theta_lo", "theta_hi", "area", "parity"),
-        csv_rows=area_rows(bounds, uppers, areas),
+        csv_rows=tuple(rows),
     )
     _emit(write_report(report_obj, args.format), args.out)
     return 0
@@ -215,12 +210,11 @@ def _cmd_residual(args) -> int:
     cfg, chords, mode, tol, _ = _resolved_inputs(args)
     case_tag = _CLI_CASES[args.case] if args.case else None
     closed = case_residual(cfg, chords, case_tag)
-    if mode == "quadrature":
-        value = quadrature_residual(cfg, chords, _quad_spec(cfg, tol))
-    elif mode == "closed":
-        value = closed.residual
-    else:
+    if mode not in ("closed", "quadrature"):
         raise ConfigError(f"residual does not support mode {mode!r}")
+    quad = (quadrature_residual(cfg, chords, _quad_spec(cfg, tol))
+            if mode == "quadrature" or args.audit else None)
+    value = quad if mode == "quadrature" else closed.residual
 
     payload = {
         "command": "residual",
@@ -232,10 +226,7 @@ def _cmd_residual(args) -> int:
     }
     rows = [(closed.case_tag, closed.variant, value)]
     if args.audit:
-        audit = {
-            VARIANT_CORRECTED: closed.residual,
-            "quadrature": quadrature_residual(cfg, chords, _quad_spec(cfg, tol)),
-        }
+        audit = {VARIANT_CORRECTED: closed.residual, "quadrature": quad}
         if closed.case_tag == CASE_SIX:
             printed = residual_six(cfg, *chords, variant=VARIANT_AS_PRINTED)
             audit[VARIANT_AS_PRINTED] = printed.residual
@@ -362,6 +353,8 @@ def _cmd_render(args) -> int:
 
 def _cmd_verify(args) -> int:
     trials = args.trials
+    if trials < 1:
+        raise ConfigError(f"--trials must be at least 1, got {trials}")
     results = run_checks(
         seed=args.seed if args.seed is not None else 0,
         trials=trials,

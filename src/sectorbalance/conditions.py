@@ -37,6 +37,7 @@ from .geometry import (
     DomainError,
     area_report,
     build_partition,
+    check_fan,
 )
 
 CASE_FOUR = "four"
@@ -78,16 +79,6 @@ class EightSectorCheck(NamedTuple):
     #: cos(t4-t2) - tan(t1+t3-2*theta0)*cos(t3-t1); None when the tangent
     #: argument sits on a pole of tan and the form is indeterminate.
     tan_form: Optional[float]
-
-
-def _check_half_turn_order(angles: tuple[float, ...]) -> None:
-    for lo, hi in zip(angles, angles[1:]):
-        if not hi > lo:
-            raise DomainError(f"angles must be strictly increasing, got {lo!r} before {hi!r}")
-    if angles[-1] - angles[0] >= math.pi:
-        raise DomainError(
-            f"angles must span less than a half-turn, got span {angles[-1] - angles[0]!r}"
-        )
 
 
 def _sin2(cfg: CircleConfig, theta: float) -> float:
@@ -154,7 +145,7 @@ def residual_eight(
     the odd and even sector sums are equal.
     """
     angles = (t1, t2, t3, t4)
-    _check_half_turn_order(angles)
+    check_fan(angles)
     return ResidualReport(CASE_EIGHT, VARIANT_CORRECTED, _residual_value(cfg, angles), cfg, angles)
 
 
@@ -164,7 +155,7 @@ def residual_four(cfg: CircleConfig, t1: float, t2: float) -> ResidualReport:
     ``(r0^2/2)[sin 2(t2-theta0) - sin 2(t1-theta0)] + a^2*(t2 - t1 - pi/2)``.
     """
     angles = (t1, t2)
-    _check_half_turn_order(angles)
+    check_fan(angles)
     return ResidualReport(CASE_FOUR, VARIANT_CORRECTED, _residual_value(cfg, angles), cfg, angles)
 
 
@@ -185,7 +176,7 @@ def residual_six(
     error at r0 = 0.
     """
     angles = (t1, t2, t3)
-    _check_half_turn_order(angles)
+    check_fan(angles)
     bracket = _closed_form(cfg.theta0, cfg.r0 / cfg.a, angles)
     if variant == VARIANT_CORRECTED:
         value = 0.5 * cfg.a * cfg.a * bracket
@@ -243,8 +234,8 @@ def case_residual(
 
     Two, three, and four base angles go through :func:`residual_four`,
     :func:`residual_six`, and :func:`residual_eight`; any other count (or an
-    explicit ``general-n``) evaluates the same closed form on a validated
-    :class:`ChordFan`.
+    explicit ``general-n``) evaluates the same closed form once
+    :func:`check_fan` accepts the angles.
     """
     angles = tuple(map(float, angles))
     case_tag = resolve_case(case_tag, len(angles))
@@ -254,7 +245,7 @@ def case_residual(
         return residual_six(cfg, *angles)
     if case_tag == CASE_EIGHT:
         return residual_eight(cfg, *angles)
-    ChordFan(angles)
+    check_fan(angles)
     return ResidualReport(CASE_GENERAL, VARIANT_CORRECTED, _residual_value(cfg, angles), cfg, angles)
 
 
@@ -275,7 +266,7 @@ def special_case_eight(
     ``cos(t4-t2) - tan(t1+t3-2*theta0)*cos(t3-t1)``, reporting None when
     ``t1+t3-2*theta0`` falls on a pole of the tangent.
     """
-    _check_half_turn_order((t1, t2, t3, t4))
+    check_fan((t1, t2, t3, t4))
     k_sum, deficit = _closed_form(cfg.theta0, cfg.r0 / cfg.a, (t1, t2, t3, t4))
     width_ok = abs(deficit) <= tol
     sine_ok = abs(k_sum) <= tol
@@ -291,7 +282,7 @@ def special_case_four(
     cfg: CircleConfig, t1: float, t2: float, tol: float = DEFAULT_PREDICATE_TOL
 ) -> FourSectorCheck:
     """Sufficient equal-area conditions for two chords: quarter-turn width and matched sines."""
-    _check_half_turn_order((t1, t2))
+    check_fan((t1, t2))
     k_sum, deficit = _closed_form(cfg.theta0, cfg.r0 / cfg.a, (t1, t2))
     return FourSectorCheck(abs(deficit) <= tol, abs(k_sum) <= tol)
 
@@ -310,7 +301,7 @@ def special_case_six(
     completeness but is not necessary under the corrected form (mirror
     fans balance with it false).
     """
-    _check_half_turn_order((t1, t2, t3))
+    check_fan((t1, t2, t3))
     sine_ok = abs(_sin2(cfg, t3) - _sin2(cfg, t1)) <= tol
     bracket_ok = abs(_closed_form(cfg.theta0, cfg.r0 / cfg.a, (t1, t2, t3))) <= tol
     return SixSectorCheck(sine_ok, bracket_ok)

@@ -10,7 +10,9 @@ concurrent chords through the pole cuts the disk into 2n sectors, and the
 area of the sector between two rays is the polar integral
 ``(1/2) * Int r(theta)^2 dtheta``.  This module evaluates that integral
 through an exact antiderivative and assembles per-sector reports with the
-alternating (odd/even) area sums.
+alternating (odd/even) area sums.  It also owns the two decisions under every
+result: which base angles form a valid fan (:func:`check_fan`) and where each
+sector starts and ends (:attr:`SectorPartition.sectors`).
 
 All boundary angles are unwrapped real numbers: they increase monotonically
 and are never reduced modulo 2*pi internally, which keeps interval lengths
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, NoReturn, Sequence
 
 TWO_PI = 2.0 * math.pi
 
@@ -56,6 +59,30 @@ class CircleConfig:
             raise DomainError(f"theta0 must be finite, got {self.theta0!r}")
 
 
+def _reject_fan(angles: Sequence[float], problem: str) -> NoReturn:
+    for t in angles:
+        if not math.isfinite(t):
+            raise DomainError(f"chord angles must be finite, got {t!r}")
+    raise DomainError(f"chord angles must {problem}")
+
+
+def check_fan(angles: Sequence[float]) -> None:
+    """Raise :class:`DomainError` unless ``angles`` are valid chord base angles.
+
+    A fan needs at least one angle, strictly increasing, spanning less than
+    a half-turn.  NaN and +-inf always fail the order or span test, so
+    finiteness is looked at only on the way to the error.
+    """
+    if not angles:
+        raise DomainError("a chord fan needs at least one base angle")
+    for lo, hi in zip(angles, angles[1:]):
+        if not hi > lo:
+            _reject_fan(angles, f"be strictly increasing, got {lo!r} before {hi!r}")
+    span = angles[-1] - angles[0]
+    if not span < math.pi:
+        _reject_fan(angles, f"span less than a half-turn, got span {span!r}")
+
+
 @dataclass(frozen=True)
 class ChordFan:
     """n >= 1 chord base angles, strictly increasing within one open half-turn.
@@ -70,18 +97,7 @@ class ChordFan:
     def __post_init__(self) -> None:
         angles = tuple(float(t) for t in self.base_angles)
         object.__setattr__(self, "base_angles", angles)
-        if len(angles) < 1:
-            raise DomainError("a chord fan needs at least one base angle")
-        for t in angles:
-            if not math.isfinite(t):
-                raise DomainError(f"chord angles must be finite, got {t!r}")
-        for lo, hi in zip(angles, angles[1:]):
-            if not hi > lo:
-                raise DomainError(f"chord angles must be strictly increasing, got {lo!r} before {hi!r}")
-        if angles[-1] - angles[0] >= math.pi:
-            raise DomainError(
-                f"chord angles must span less than a half-turn, got span {angles[-1] - angles[0]!r}"
-            )
+        check_fan(angles)
 
     @property
     def n(self) -> int:
@@ -120,6 +136,16 @@ class SectorPartition:
     def sector_count(self) -> int:
         return len(self.boundaries)
 
+    @property
+    def sectors(self) -> tuple[tuple[float, float], ...]:
+        """The ``(lo, hi)`` interval of every sector, in boundary order.
+
+        The last sector wraps from the final boundary back to the first
+        boundary plus a full turn, so the sectors cover the disk exactly once.
+        """
+        b = self.boundaries
+        return tuple(zip(b, b[1:] + (b[0] + TWO_PI,)))
+
 
 @dataclass(frozen=True)
 class AreaReport:
@@ -133,6 +159,14 @@ class AreaReport:
     odd_sum: float
     even_sum: float
     total: float
+
+    @classmethod
+    def from_areas(cls, areas: Iterable[float]) -> AreaReport:
+        """Report for sector areas given in boundary order."""
+        areas = tuple(areas)
+        odd = math.fsum(areas[0::2])
+        even = math.fsum(areas[1::2])
+        return cls(sector_areas=areas, odd_sum=odd, even_sum=even, total=odd + even)
 
 
 def radial_distance(cfg: CircleConfig, theta: float) -> float:
@@ -197,17 +231,8 @@ def build_partition(fan: ChordFan) -> SectorPartition:
 
 
 def area_report(cfg: CircleConfig, part: SectorPartition) -> AreaReport:
-    """All 2n sector areas and their alternating sums.
-
-    The last sector wraps from the final boundary back to the first boundary
-    plus a full turn, so the areas cover the disk exactly once.
-    """
-    b = part.boundaries
-    uppers = b[1:] + (b[0] + TWO_PI,)
-    areas = tuple(sector_area_closed(cfg, lo, hi) for lo, hi in zip(b, uppers))
-    odd = math.fsum(areas[0::2])
-    even = math.fsum(areas[1::2])
-    return AreaReport(sector_areas=areas, odd_sum=odd, even_sum=even, total=odd + even)
+    """All 2n sector areas, over :attr:`SectorPartition.sectors`, and their alternating sums."""
+    return AreaReport.from_areas(sector_area_closed(cfg, lo, hi) for lo, hi in part.sectors)
 
 
 def opposite_pair_sum(cfg: CircleConfig, theta_a: float, theta_b: float) -> float:

@@ -96,7 +96,7 @@ class MonteCarloSpec:
 
 def default_quadrature_spec(cfg: CircleConfig) -> QuadratureSpec:
     """Default tolerance scaled to the disk: 1e-12 * a^2 absolute."""
-    return QuadratureSpec(abs_tol=1e-12 * cfg.a * cfg.a, max_depth=40)
+    return QuadratureSpec(abs_tol=1e-12 * cfg.a * cfg.a)
 
 
 def quadrature_area(
@@ -162,12 +162,7 @@ def quadrature_report(
     cfg: CircleConfig, part: SectorPartition, spec: QuadratureSpec | None = None
 ) -> AreaReport:
     """Per-sector quadrature areas assembled like the closed-form report."""
-    b = part.boundaries
-    uppers = b[1:] + (b[0] + TWO_PI,)
-    areas = tuple(quadrature_area(cfg, lo, hi, spec) for lo, hi in zip(b, uppers))
-    odd = math.fsum(areas[0::2])
-    even = math.fsum(areas[1::2])
-    return AreaReport(sector_areas=areas, odd_sum=odd, even_sum=even, total=odd + even)
+    return AreaReport.from_areas(quadrature_area(cfg, lo, hi, spec) for lo, hi in part.sectors)
 
 
 def quadrature_residual(

@@ -30,8 +30,7 @@ def _num(value: float) -> str:
 def render_svg(cfg: CircleConfig, partition: SectorPartition, report: AreaReport) -> str:
     """Render the configuration as a standalone SVG document string."""
     boundaries = partition.boundaries
-    n2 = len(boundaries)
-    n = n2 // 2
+    n = len(boundaries) // 2
     scale = _CIRCLE_RADIUS / cfg.a
     # Pole-frame coordinates of the circle centre.
     ccx = cfg.r0 * math.cos(cfg.theta0)
@@ -53,8 +52,7 @@ def render_svg(cfg: CircleConfig, partition: SectorPartition, report: AreaReport
         f'<rect x="0" y="0" width="{_VIEW}" height="{_VIEW}" fill="#ffffff"/>',
     ]
 
-    uppers = boundaries[1:] + (boundaries[0] + TWO_PI,)
-    for i, (lo, hi) in enumerate(zip(boundaries, uppers)):
+    for i, (lo, hi) in enumerate(partition.sectors):
         px_lo, py_lo = rim_point(lo)
         px_hi, py_hi = rim_point(hi)
         # Central angle swept between the two rim points decides the arc flag.

@@ -12,7 +12,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
 
 from .geometry import ChordFan, CircleConfig
 
@@ -193,13 +193,3 @@ def write_report(report: Report, fmt: str) -> str:
             buf.write(",".join(_csv_cell(cell) for cell in row) + "\n")
         return buf.getvalue()
     raise ConfigError(f"unknown format {fmt!r} (choose from {FORMATS})")
-
-
-def area_rows(
-    boundaries: Sequence[float], uppers: Sequence[float], areas: Sequence[float]
-) -> tuple[tuple, ...]:
-    """CSV rows for a sector table: index, bounds, area, parity (1-based odd/even)."""
-    rows = []
-    for i, (lo, hi, area) in enumerate(zip(boundaries, uppers, areas), start=1):
-        rows.append((i, lo, hi, area, "odd" if i % 2 == 1 else "even"))
-    return tuple(rows)

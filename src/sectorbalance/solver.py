@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .conditions import CASE_EIGHT, CASE_FOUR, _closed_form, case_residual, resolve_case
-from .geometry import ChordFan, CircleConfig, DomainError
+from .geometry import CircleConfig, DomainError, check_fan
 from .oracle import quadrature_residual
 
 # Sine sums smaller than this leave the residual essentially independent of
@@ -215,11 +215,14 @@ def feasible_interval(
 
     Bounded by the neighbouring fixed angles and by the half-turn window of
     the whole fan.  Raises when there are no fixed angles (the freed angle
-    would be unconstrained).
+    would be unconstrained) or when ``free_index`` is outside
+    ``0..len(fixed_angles)``.
     """
     fixed = tuple(float(t) for t in fixed_angles)
     if not fixed:
         raise SolverError("cannot infer a bracket for a fan with a single free chord")
+    if not 0 <= free_index <= len(fixed):
+        raise DomainError(f"free_index {free_index} out of range for {len(fixed)} fixed angles")
     lo = fixed[free_index - 1] if free_index >= 1 else fixed[-1] - math.pi
     hi = fixed[free_index] if free_index < len(fixed) else fixed[0] + math.pi
     if not lo < hi:
@@ -237,7 +240,7 @@ def solve_free_angle(req: SolveRequest) -> SolveOutcome:
     lo, hi = req.bracket
     for end in (lo, hi):
         try:
-            ChordFan(req.angles_with(end))
+            check_fan(req.angles_with(end))
         except DomainError as exc:
             raise SolverError(f"ordering violated inside bracket at {end!r}: {exc}") from exc
 
@@ -275,7 +278,7 @@ def solve_pole_radius(
     if case_tag not in (CASE_FOUR, CASE_EIGHT):
         raise DomainError(f"pole-radius inversion supports cases four and eight, not {case_tag!r}")
     resolve_case(case_tag, len(base))
-    ChordFan(base)
+    check_fan(base)
     K, L = _closed_form(theta0, 0.0, base)  # even n: K and L do not depend on r0
     if abs(K) <= _DEGENERATE_K:
         raise SolverError(

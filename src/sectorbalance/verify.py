@@ -34,7 +34,7 @@ from .geometry import (
 )
 from .oracle import (
     MonteCarloSpec,
-    QuadratureSpec,
+    default_quadrature_spec,
     montecarlo_area,
     quadrature_area,
     quadrature_residual,
@@ -79,11 +79,6 @@ def random_fan(rng: random.Random, n: int | None = None) -> ChordFan:
             return ChordFan(tuple(t1 + o for o in offsets))
 
 
-def _sector_bounds(boundaries: tuple[float, ...]) -> list[tuple[float, float]]:
-    uppers = boundaries[1:] + (boundaries[0] + 2.0 * PI,)
-    return list(zip(boundaries, uppers))
-
-
 def check_oracle_equivalence(seed: int, trials: int) -> CheckResult:
     rng = random.Random(f"{seed}:oracle")
     worst = 0.0
@@ -91,8 +86,8 @@ def check_oracle_equivalence(seed: int, trials: int) -> CheckResult:
     for _ in range(trials):
         cfg = random_circle(rng)
         fan = random_fan(rng)
-        spec = QuadratureSpec(abs_tol=1e-12 * cfg.a * cfg.a)
-        for lo, hi in _sector_bounds(build_partition(fan).boundaries):
+        spec = default_quadrature_spec(cfg)
+        for lo, hi in build_partition(fan).sectors:
             closed = sector_area_closed(cfg, lo, hi)
             quad = quadrature_area(cfg, lo, hi, spec)
             worst = max(worst, abs(closed - quad) / abs(quad))

@@ -373,6 +373,67 @@ class TestVerifySubcommand:
         assert code == 0
         assert out.splitlines()[0] == "name,passed,detail"
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_trials_below_one_is_usage_error(self, capsys, trials):
+        code, out, err = run(capsys, ["verify", "--trials", trials, "--samples", "10000"])
+        assert code == 1
+        assert out == ""
+        assert f"--trials must be at least 1, got {trials}" in err
+        assert "PASS" not in err
+
+
+FIXED_FAN = ["--a", "1.5515166083670648", "--r0", "0.5110568400665382",
+             "--theta0", "-2.9676733569261673",
+             "--chords=0.5587217688464459,0.8407669168770204,1.966972422057961,2.986734962603703"]
+SIX_CHORD_FAN = ["--a", "1.3", "--r0", "0.45", "--theta0", "0.7",
+                 "--chords=-0.4,0.1,0.55,1.2,1.9,2.5"]
+MC_OPTS = ["--samples", "20000", "--seed", "5"]
+
+
+class TestPinnedBytes:
+    """Stdout digests recorded before the sector table moved into geometry."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["areas", *FIXED_FAN, "--mode", "closed"],
+             "e1bf95926d14954c8b2c584baef0726896ff5be0df097958cdb03b6dbec932c1"),
+            (["areas", *FIXED_FAN, "--mode", "closed", "--format", "csv"],
+             "28c4f770c9e0aa6d8166372593259c1fc74e91f36e4d5c60bce6db23855630f8"),
+            (["areas", *FIXED_FAN, "--mode", "quadrature"],
+             "33f55e3cd2c31f4fce71d2ef972bab27f4f232487e9717317ef2f3f1536fdf85"),
+            (["areas", *FIXED_FAN, "--mode", "quadrature", "--format", "csv"],
+             "03f636c05870b3c906aa2cf956d09780e31674c853cff52e9d021a1963a09db8"),
+            (["areas", *FIXED_FAN, "--mode", "montecarlo", *MC_OPTS],
+             "1618f0e86a08c98f4a2cd95eaff014b949dfa25a00522ffe15331f666ca19c5c"),
+            (["areas", *FIXED_FAN, "--mode", "montecarlo", *MC_OPTS, "--format", "csv"],
+             "f86dcdeddfaf7f3c5887e439c652e0cfbfe78a5ab2b6f85100e8442c605d601d"),
+            (["areas", *SIX_CHORD_FAN, "--mode", "closed"],
+             "250d4fffa8b8cfcaa9eb3cdcef5b060f0bc77d455191b70b0dce31fe29bf1357"),
+            (["areas", *SIX_CHORD_FAN, "--mode", "closed", "--format", "csv"],
+             "be9c05f0e726b3f6b5330db65c0f8a0f5dfd826cbe295b561456a3d65a200d39"),
+            (["areas", *SIX_CHORD_FAN, "--mode", "quadrature"],
+             "ba93a10070cb4e178205d07e9112827e2f000f88f410010b90a02c1a8f57d81d"),
+            (["areas", *SIX_CHORD_FAN, "--mode", "quadrature", "--format", "csv"],
+             "1cba37bac2d7b6c5d54676b06b03d09538656172d49e616a896b3245d7f6fefc"),
+            (["areas", *SIX_CHORD_FAN, "--mode", "montecarlo", *MC_OPTS],
+             "6307166a45813117a5e4ef3314afaf12c5235c6c15407872908547c23a6aa1f9"),
+            (["areas", *SIX_CHORD_FAN, "--mode", "montecarlo", *MC_OPTS, "--format", "csv"],
+             "b1a891ed05b8174361210845d388883509953817ba3e872a950ddad92c507589"),
+            (["render", "--a", "1.2", "--r0", "0.4", "--theta0", "0.3", "--chords", "0.8"],
+             "2dfd0ebc902b81583b0b26ace60e8670ef5620c9c2846fc512a2352fa73514bb"),
+            (["render", *FIXED_FAN],
+             "1578252aaaed23dacc510a4d3c724c904550da5f57aa93c35ba44c4a6c3e352d"),
+        ],
+        ids=[f"areas-{fan}-{mode}-{fmt}" for fan in ("fixed", "six")
+             for mode in ("closed", "quadrature", "montecarlo") for fmt in ("json", "csv")]
+        + ["render-n1", "render-n4"],
+    )
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 # Runs run_cli in a fresh interpreter and reports its exit code, its stdout and
 # whether numpy got imported.

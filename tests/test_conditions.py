@@ -402,3 +402,42 @@ class TestHalfTurnEdge:
         # |dR/dt_n| <= a^2 + r0^2, so a 1e-9 nudge moves R by under 2e-9*a^2.
         nudged = ChordFan(angles[:-1] + (self.TN - 1e-9,))
         assert abs(value - residual_general(cfg, nudged).residual) <= 1e-8 * cfg.a**2
+
+
+def _bad_fans():
+    """(n, kind, angles, message) for every way a fan of n = 1..9 chords can be invalid."""
+    for n in range(1, 10):
+        base = [0.3 * i for i in range(n)]
+        mid = n // 2
+        for kind, value in (("nan", math.nan), ("+inf", math.inf), ("-inf", -math.inf)):
+            angles = list(base)
+            angles[mid] = value
+            yield n, kind, tuple(angles), "must be finite"
+        if n >= 2:
+            yield n, "unordered", (base[1], base[0], *base[2:]), "strictly increasing"
+            yield n, "half-turn", (*base[:-1], PI), "half-turn"
+
+
+_RESIDUAL_BY_SIZE = {
+    2: (residual_four, special_case_four),
+    3: (residual_six, special_case_six),
+    4: (residual_eight, special_case_eight),
+}
+
+
+class TestFanValidation:
+    """ChordFan, case_residual and the two- to four-chord entry points share one fan check."""
+
+    @pytest.mark.parametrize(
+        "n, angles, message",
+        [(n, angles, message) for n, _, angles, message in _bad_fans()],
+        ids=[f"n{n}-{kind}" for n, kind, _, _ in _bad_fans()],
+    )
+    def test_every_entry_point_rejects_the_fan(self, n, angles, message):
+        cfg = CircleConfig(1.0, 0.4, 0.2)
+        calls = [lambda: ChordFan(angles), lambda: case_residual(cfg, angles)]
+        for fn in _RESIDUAL_BY_SIZE.get(n, ()):
+            calls.append(lambda fn=fn: fn(cfg, *angles))
+        for call in calls:
+            with pytest.raises(DomainError, match=message):
+                call()

@@ -172,6 +172,11 @@ class TestChordFanAndPartition:
         with pytest.raises(DomainError):
             SectorPartition((0.0, 1.0, PI))
 
+    def test_sectors_wrap_the_last_interval_by_a_full_turn(self):
+        part = build_partition(ChordFan((0.5, 1.5)))
+        assert part.sectors == ((0.5, 1.5), (1.5, 0.5 + PI), (0.5 + PI, 1.5 + PI),
+                                (1.5 + PI, 0.5 + 2.0 * PI))
+
 
 class TestAreaReport:
     def test_centered_quarters(self):
@@ -197,6 +202,10 @@ class TestAreaReport:
             assert report.odd_sum + report.even_sum == pytest.approx(report.total, rel=1e-12)
             assert all(area > 0.0 for area in report.sector_areas)
             assert isinstance(report, AreaReport)
+
+    def test_from_areas_sums_alternate_sectors(self):
+        report = AreaReport.from_areas(iter([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))
+        assert report == AreaReport((1.0, 2.0, 3.0, 4.0, 5.0, 6.0), 9.0, 12.0, 21.0)
 
 
 class TestOppositePairSum:

@@ -84,6 +84,11 @@ class TestFeasibleInterval:
         with pytest.raises(SolverError):
             feasible_interval((), 0)
 
+    @pytest.mark.parametrize("free_index", [-1, 3])
+    def test_slot_outside_the_fan_is_domain_error(self, free_index):
+        with pytest.raises(DomainError, match="out of range for 2 fixed angles"):
+            feasible_interval((0.0, 1.0), free_index)
+
 
 class TestSolveFreeAngle:
     def test_centered_eight_sector_root_is_analytic(self):
