@@ -136,6 +136,8 @@ def _resolved_inputs(args) -> tuple[CircleConfig, tuple[float, ...], str, float 
         mode = args.mode
     if getattr(args, "tol", None) is not None:
         tol = args.tol
+        if not (math.isfinite(tol) and tol > 0.0):  # RunConfig's rule for the field
+            raise ConfigError(f"--tol must be positive, got {tol!r}")
     if getattr(args, "seed", None) is not None:
         seed = args.seed
 

@@ -126,13 +126,13 @@ def _closed_form(
     return bracket - sin(2.0 * xs[0])
 
 
-def _residual_value(cfg: CircleConfig, angles: tuple[float, ...]) -> float:
-    """Corrected balance residual of an already validated fan."""
-    terms = _closed_form(cfg.theta0, cfg.r0 / cfg.a, angles)
+def _residual_value(a: float, r0: float, theta0: float, angles: tuple[float, ...]) -> float:
+    """Corrected balance residual of an already validated fan and pole ``0 <= r0 < a``."""
+    terms = _closed_form(theta0, r0 / a, angles)
     if len(angles) % 2:
-        return 0.5 * cfg.a * cfg.a * terms
+        return 0.5 * a * a * terms
     k_sum, deficit = terms
-    return 0.5 * cfg.r0 * cfg.r0 * k_sum + cfg.a * cfg.a * deficit
+    return 0.5 * r0 * r0 * k_sum + a * a * deficit
 
 
 def residual_eight(
@@ -146,7 +146,8 @@ def residual_eight(
     """
     angles = (t1, t2, t3, t4)
     check_fan(angles)
-    return ResidualReport(CASE_EIGHT, VARIANT_CORRECTED, _residual_value(cfg, angles), cfg, angles)
+    value = _residual_value(cfg.a, cfg.r0, cfg.theta0, angles)
+    return ResidualReport(CASE_EIGHT, VARIANT_CORRECTED, value, cfg, angles)
 
 
 def residual_four(cfg: CircleConfig, t1: float, t2: float) -> ResidualReport:
@@ -156,7 +157,8 @@ def residual_four(cfg: CircleConfig, t1: float, t2: float) -> ResidualReport:
     """
     angles = (t1, t2)
     check_fan(angles)
-    return ResidualReport(CASE_FOUR, VARIANT_CORRECTED, _residual_value(cfg, angles), cfg, angles)
+    value = _residual_value(cfg.a, cfg.r0, cfg.theta0, angles)
+    return ResidualReport(CASE_FOUR, VARIANT_CORRECTED, value, cfg, angles)
 
 
 def residual_six(
@@ -246,7 +248,8 @@ def case_residual(
     if case_tag == CASE_EIGHT:
         return residual_eight(cfg, *angles)
     check_fan(angles)
-    return ResidualReport(CASE_GENERAL, VARIANT_CORRECTED, _residual_value(cfg, angles), cfg, angles)
+    value = _residual_value(cfg.a, cfg.r0, cfg.theta0, angles)
+    return ResidualReport(CASE_GENERAL, VARIANT_CORRECTED, value, cfg, angles)
 
 
 def special_case_eight(

@@ -15,7 +15,14 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .conditions import CASE_EIGHT, CASE_FOUR, _closed_form, case_residual, resolve_case
+from .conditions import (
+    CASE_EIGHT,
+    CASE_FOUR,
+    _closed_form,
+    _residual_value,
+    case_residual,
+    resolve_case,
+)
 from .geometry import CircleConfig, DomainError, check_fan
 from .oracle import quadrature_residual
 
@@ -244,10 +251,14 @@ def solve_free_angle(req: SolveRequest) -> SolveOutcome:
         except DomainError as exc:
             raise SolverError(f"ordering violated inside bracket at {end!r}: {exc}") from exc
 
-    def f(value: float) -> float:
-        return case_residual(req.cfg, req.angles_with(value), req.case_tag).residual
+    # Every point of the bracket is a valid fan, so f needs no check of its own.
+    resolve_case(req.case_tag, len(req.fixed_angles) + 1)
+    cfg = req.cfg
 
-    a2 = req.cfg.a * req.cfg.a
+    def f(value: float) -> float:
+        return _residual_value(cfg.a, cfg.r0, cfg.theta0, req.angles_with(value))
+
+    a2 = cfg.a * cfg.a
     root, froot, iterations = find_root(
         f, lo, hi, xtol=req.tol, ftol=req.tol * a2, max_iter=req.max_iter
     )
@@ -274,6 +285,8 @@ def solve_pole_radius(
     sums (condition independent of r0) and ratios outside the unit interval
     are reported as solver failures.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be positive, got {tol!r}")
     base = tuple(float(t) for t in angles)
     if case_tag not in (CASE_FOUR, CASE_EIGHT):
         raise DomainError(f"pole-radius inversion supports cases four and eight, not {case_tag!r}")
@@ -316,27 +329,46 @@ def sweep_grid(
         raise DomainError("sweep needs at least one axis")
     base = tuple(float(t) for t in base_angles)
     resolve_case(case_tag, len(base))
+    # Each axis writes one slot of the point [r0, theta0, t_1, ..., t_n].
+    slots = []
     for ax in axes:
-        if ax.name.startswith("theta") and ax.name != "theta0":
+        if ax.name == "r0":
+            slots.append(0)
+        elif ax.name == "theta0":
+            slots.append(1)
+        else:
             k = int(ax.name[5:])
             if k > len(base):
                 raise DomainError(f"axis {ax.name!r} exceeds the {len(base)} base angles")
-
-    values: list[float] = []
-    for combo in itertools.product(*(ax.grid_values() for ax in axes)):
-        r0 = cfg.r0
-        theta0 = cfg.theta0
-        angles = list(base)
-        for ax, value in zip(axes, combo):
-            if ax.name == "r0":
-                r0 = value
-            elif ax.name == "theta0":
-                theta0 = value
-            else:
-                angles[int(ax.name[5:]) - 1] = value
+            slots.append(k + 1)
+    moves_angle = max(slots) > 1
+    if not moves_angle:
         try:
-            point_cfg = CircleConfig(a=cfg.a, r0=r0, theta0=theta0)
-            values.append(case_residual(point_cfg, tuple(angles), case_tag).residual)
+            check_fan(base)
         except DomainError:
+            return ResidualGrid(axes=axes, values=(math.nan,) * math.prod(ax.count for ax in axes))
+
+    # Every case tag's corrected residual is this one closed form, so a point
+    # needs only the checks that CircleConfig and check_fan would make.  An
+    # axis whose hi - lo overflows yields non-finite values, hence isfinite.
+    a = cfg.a
+    isfinite = math.isfinite
+    point = [cfg.r0, cfg.theta0, *base]
+    angles = base
+    values: list[float] = []
+    for combo in itertools.product(*([float(v) for v in ax.grid_values()] for ax in axes)):
+        for slot, value in zip(slots, combo):
+            point[slot] = value
+        r0, theta0 = point[0], point[1]
+        if not (0.0 <= r0 < a and isfinite(theta0)):
             values.append(math.nan)
+            continue
+        if moves_angle:
+            angles = tuple(point[2:])
+            try:
+                check_fan(angles)
+            except DomainError:
+                values.append(math.nan)
+                continue
+        values.append(_residual_value(a, r0, theta0, angles))
     return ResidualGrid(axes=axes, values=tuple(values))

@@ -320,6 +320,30 @@ class TestConfigFile:
         path.write_text("{", encoding="utf-8")
         assert run_cli(["areas", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["areas", "--mode", "closed"],
+        ["areas", "--mode", "quadrature"],
+        ["residual", "--mode", "closed"],
+        ["residual", "--mode", "quadrature"],
+        ["solve", "--case", "four"],
+        ["solve", "--case", "four", "--free-index", "2"],
+    ], ids=["areas-closed", "areas-quadrature", "residual-closed", "residual-quadrature",
+            "solve-r0", "solve-angle"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_bad_tol_flag_fails_like_config_field(self, capsys, tmp_path, argv, tol):
+        # A --tol flag that is not finite and positive is a usage error (exit
+        # 1), as the same value in a config file is, whatever the mode.
+        fan = {"a": 1, "r0": 0.5, "theta0": 0, "chords": [-0.6, 0.6]}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**fan, "tol": float(tol)}), encoding="utf-8")
+        code, out, err = run(capsys, [*argv, "--config", str(path)])
+        assert (code, out) == (1, "")
+        assert "field 'tol' must be positive" in err
+        path.write_text(json.dumps(fan), encoding="utf-8")
+        code, out, err = run(capsys, [*argv, "--config", str(path), "--tol", tol])
+        assert (code, out) == (1, "")
+        assert err == f"sectorbalance: error: --tol must be positive, got {float(tol)!r}\n"
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -388,10 +412,15 @@ FIXED_FAN = ["--a", "1.5515166083670648", "--r0", "0.5110568400665382",
 SIX_CHORD_FAN = ["--a", "1.3", "--r0", "0.45", "--theta0", "0.7",
                  "--chords=-0.4,0.1,0.55,1.2,1.9,2.5"]
 MC_OPTS = ["--samples", "20000", "--seed", "5"]
+# The README's two-chord sweep on a grid that holds NaN points: r0 reaches a,
+# and theta2 passes theta1 and the half-turn.
+README_SWEEP = ["sweep", "--case", "four", "--a", "1", "--chords", "0,1.2",
+                "--grid", "r0=0:1.2:9", "--grid", "theta2=-0.2:3.3:8"]
 
 
 class TestPinnedBytes:
-    """Stdout digests recorded before the sector table moved into geometry."""
+    """Stdout digests recorded before the sector table moved into geometry
+    (areas, render) and before sweeps evaluated the closed form directly (sweep)."""
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -424,10 +453,21 @@ class TestPinnedBytes:
              "2dfd0ebc902b81583b0b26ace60e8670ef5620c9c2846fc512a2352fa73514bb"),
             (["render", *FIXED_FAN],
              "1578252aaaed23dacc510a4d3c724c904550da5f57aa93c35ba44c4a6c3e352d"),
+            (README_SWEEP,
+             "261612f7385256249ca739258ee0e9270befefa505efc09f666b434c4ede5138"),
+            ([*README_SWEEP, "--format", "csv"],
+             "c459cc21f06599dc3fcaeb6ca5e98b519f04032f8586c375519516b3ae532fd2"),
+            (["sweep", *SIX_CHORD_FAN, "--grid", "theta3=-0.5:1.6:6", "--grid", "r0=0:1.4:5",
+              "--format", "csv"],
+             "0ca23897a5131ab2a1745ee86f748b9b9e45f4d13bcf203f6be3db2aa3ee2acc"),
+            (["sweep", *FIXED_FAN, "--case", "general", "--grid", "theta0=-3.2:3.2:5",
+              "--grid", "r0=0:1.6:4"],
+             "d9e7560d0057801f39af65948902de134cd0a3bb7b27a8e847abb3a81d0f2b55"),
         ],
         ids=[f"areas-{fan}-{mode}-{fmt}" for fan in ("fixed", "six")
              for mode in ("closed", "quadrature", "montecarlo") for fmt in ("json", "csv")]
-        + ["render-n1", "render-n4"],
+        + ["render-n1", "render-n4", "sweep-readme-json", "sweep-readme-csv", "sweep-six-csv",
+           "sweep-general"],
     )
     def test_stdout_digest(self, capsys, argv, digest):
         code, out, _ = run(capsys, argv)

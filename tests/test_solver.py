@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -6,6 +7,7 @@ import pytest
 from sectorbalance import (
     CASE_EIGHT,
     CASE_FOUR,
+    CASE_GENERAL,
     CASE_SIX,
     CircleConfig,
     DomainError,
@@ -218,6 +220,13 @@ class TestSolvePoleRadius:
         with pytest.raises(DomainError):
             solve_pole_radius((0.0, 0.5, 1.0), 0.0, 1.0, CASE_FOUR)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # NaN used to skip both root checks; -1 and 0 failed them with a
+        # misleading solver error about the inverted radius.
+        with pytest.raises(DomainError, match="^tol must be positive"):
+            solve_pole_radius((-0.6, 0.6), 0.0, 1.0, CASE_FOUR, tol)
+
 
 class TestSweepGrid:
     def test_single_cell_equals_direct_call(self):
@@ -307,3 +316,65 @@ class TestSweepGrid:
                     CircleConfig(cfg.a, r0, theta0), *angles
                 ).residual
                 assert grid.values[i * 3 + j] == expected
+
+
+def _per_point_sweep(cfg, base, axes, case_tag):
+    """sweep_grid's contract written out: one CircleConfig and case_residual per point."""
+    values = []
+    for combo in itertools.product(*(ax.grid_values() for ax in axes)):
+        r0, theta0, angles = cfg.r0, cfg.theta0, list(base)
+        for ax, value in zip(axes, combo):
+            if ax.name == "r0":
+                r0 = value
+            elif ax.name == "theta0":
+                theta0 = value
+            else:
+                angles[int(ax.name[5:]) - 1] = value
+        try:
+            values.append(case_residual(CircleConfig(cfg.a, r0, theta0), tuple(angles),
+                                        case_tag).residual)
+        except DomainError:
+            values.append(math.nan)
+    return values
+
+
+def _random_axis(rng, cfg, base):
+    """One axis that may leave the domain: r0 across 0 and a, any theta0, or a
+    chord angle past its neighbours and past the half-turn."""
+    count = rng.choice((1, 2, 4, 7))
+    kind = rng.randrange(3)
+    if kind == 0:
+        lo, hi = rng.choice(((0.0, cfg.a), (0.0, 1.1 * cfg.a), (-0.3 * cfg.a, 0.8 * cfg.a),
+                             (0, 1)))
+        return SweepAxis("r0", lo, hi, count)
+    if kind == 1:
+        lo = rng.choice((-4, rng.uniform(-4.0, 4.0)))
+        return SweepAxis("theta0", lo, lo + rng.choice((2, rng.uniform(0.0, 3.0))), count)
+    k = rng.randint(1, len(base))
+    lo = base[k - 1] - rng.uniform(0.0, 2.0)
+    hi = base[k - 1] + rng.uniform(0.0, 2.0)
+    if rng.random() < 0.25:
+        lo, hi = math.floor(lo), math.ceil(hi)
+    return SweepAxis(f"theta{k}", lo, hi, count)
+
+
+class TestSweepMatchesPerPointResidual:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_bit_identical_with_nan_placement(self, n):
+        rng = random.Random(1000 + n)
+        tags = [None, CASE_GENERAL] + ([{2: CASE_FOUR, 3: CASE_SIX, 4: CASE_EIGHT}[n]]
+                                       if 2 <= n <= 4 else [])
+        nan_points = 0
+        for trial in range(24):
+            cfg = random_circle(rng)
+            start = rng.uniform(-1.0, 1.0)
+            base = sorted(start + rng.uniform(0.0, 3.3) for _ in range(n))
+            if n > 1 and trial % 4 == 3:  # a template fan that is itself invalid
+                base = base[::-1] if trial % 8 == 3 else base[:-1] + [base[0] + 3.3]
+            axes = [_random_axis(rng, cfg, base) for _ in range(rng.randint(1, 3))]
+            tag = tags[trial % len(tags)]
+            expected = _per_point_sweep(cfg, base, axes, tag)
+            got = sweep_grid(cfg, base, axes, tag).values
+            assert [v.hex() for v in got] == [v.hex() for v in expected], (cfg, base, axes, tag)
+            nan_points += sum(math.isnan(v) for v in expected)
+        assert nan_points > 0
