@@ -48,8 +48,7 @@ from .solver import (
     SolveRequest,
     SolverError,
     SweepAxis,
-    feasible_interval,
-    scan_sign_change,
+    free_angle_brackets,
     solve_free_angle,
     solve_pole_radius,
     sweep_grid,
@@ -262,14 +261,8 @@ def _cmd_solve(args) -> int:
                 raise ConfigError(f"--bracket expects lo,hi, got {args.bracket!r}")
             bracket = (ends[0] * scale, ends[1] * scale)
         else:
-            # Heuristic: scan the feasible interval for a sign change.
-            lo, hi = feasible_interval(fixed, k - 1)
-            margin = 1e-6 * max(1.0, abs(lo), abs(hi))
-
-            def f(value: float) -> float:
-                return case_residual(cfg, fixed[: k - 1] + (value,) + fixed[k - 1:], case_tag).residual
-
-            bracket = scan_sign_change(f, lo + margin, hi - margin)
+            resolve_case(case_tag, len(chords))  # a tag/size mismatch is a domain error first
+            bracket = free_angle_brackets(cfg, fixed, k - 1)[0]  # the lowest root
         outcome = solve_free_angle(
             SolveRequest(cfg=cfg, fixed_angles=fixed, free_index=k - 1,
                          bracket=bracket, tol=tol, case_tag=case_tag)
@@ -415,8 +408,11 @@ def build_parser() -> _Parser:
     _add_output_opts(p_solve)
     p_solve.add_argument("--case", choices=tuple(_CLI_CASES))
     p_solve.add_argument("--free-index", type=int, dest="free_index",
-                         help="1-based chord angle to free; omit to solve for r0")
-    p_solve.add_argument("--bracket", help="lo,hi bracket for the freed angle")
+                         help="1-based chord angle to free; omit to solve for r0; "
+                              "reports the lowest root unless --bracket is given")
+    p_solve.add_argument("--bracket",
+                         help="lo,hi bracket for the freed angle (default: the lowest "
+                              "of the exact brackets of the feasible interval)")
     p_solve.add_argument("--tol", type=float, help="root tolerance (default 1e-11)")
     p_solve.set_defaults(handler=_cmd_solve)
 

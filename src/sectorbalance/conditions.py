@@ -81,8 +81,25 @@ class EightSectorCheck(NamedTuple):
     tan_form: Optional[float]
 
 
+def _check_phases(theta0: float, angles: tuple[float, ...], scale: float) -> None:
+    """Raise :class:`DomainError` if ``scale*(t - theta0)`` overflows for some angle.
+
+    Called only once ``math.sin`` has raised, so a valid fan pays nothing.
+    """
+    for t in angles:
+        if not math.isfinite(scale * (t - theta0)):
+            raise DomainError(
+                f"chord angle {t!r} lies too far from theta0 {theta0!r}: "
+                "the closed form's angle difference overflows"
+            )
+
+
 def _sin2(cfg: CircleConfig, theta: float) -> float:
-    return math.sin(2.0 * (theta - cfg.theta0))
+    try:
+        return math.sin(2.0 * (theta - cfg.theta0))
+    except ValueError:
+        _check_phases(cfg.theta0, (theta,), 2.0)
+        raise
 
 
 def _closed_form(
@@ -99,31 +116,36 @@ def _closed_form(
     """
     sin = math.sin
     n = len(angles)
-    if n % 2 == 0:
-        lo, hi = angles[0], angles[1]
-        k_sum = sin(2.0 * (hi - theta0)) - sin(2.0 * (lo - theta0))
-        width = hi - lo
-        for i in range(2, n, 2):
-            lo, hi = angles[i], angles[i + 1]
-            k_sum += sin(2.0 * (hi - theta0))
-            k_sum -= sin(2.0 * (lo - theta0))
-            width += hi - lo
-        return k_sum, width - 0.5 * math.pi
-    asin = math.asin
-    xs = []  # a loop, not a comprehension: cheaper on the short fans that dominate
-    for t in angles:
-        xs.append(asin(rho * sin(t - theta0)))
-    # Start from x_2 itself, not 0.0 + x_2, to keep the sign of a zero.
-    x_sum = xs[1] if n > 1 else 0.0
-    for i in range(3, n, 2):
-        x_sum += xs[i]
-    for i in range(n - 1, -1, -2):
-        x_sum -= xs[i]
-    bracket = 2.0 * x_sum
-    for i in range(n - 1, 0, -2):
-        bracket -= sin(2.0 * xs[i])
-        bracket += sin(2.0 * xs[i - 1])
-    return bracket - sin(2.0 * xs[0])
+    try:
+        if n % 2 == 0:
+            lo, hi = angles[0], angles[1]
+            k_sum = sin(2.0 * (hi - theta0)) - sin(2.0 * (lo - theta0))
+            width = hi - lo
+            for i in range(2, n, 2):
+                lo, hi = angles[i], angles[i + 1]
+                k_sum += sin(2.0 * (hi - theta0))
+                k_sum -= sin(2.0 * (lo - theta0))
+                width += hi - lo
+            return k_sum, width - 0.5 * math.pi
+        asin = math.asin
+        xs = []  # a loop, not a comprehension: cheaper on the short fans that dominate
+        for t in angles:
+            xs.append(asin(rho * sin(t - theta0)))
+        # Start from x_2 itself, not 0.0 + x_2, to keep the sign of a zero.
+        x_sum = xs[1] if n > 1 else 0.0
+        for i in range(3, n, 2):
+            x_sum += xs[i]
+        for i in range(n - 1, -1, -2):
+            x_sum -= xs[i]
+        bracket = 2.0 * x_sum
+        for i in range(n - 1, 0, -2):
+            bracket -= sin(2.0 * xs[i])
+            bracket += sin(2.0 * xs[i - 1])
+        return bracket - sin(2.0 * xs[0])
+    except ValueError:
+        # math.sin raises only on an infinite argument.
+        _check_phases(theta0, angles, 1.0 if n % 2 else 2.0)
+        raise
 
 
 def _residual_value(a: float, r0: float, theta0: float, angles: tuple[float, ...]) -> float:

@@ -5,6 +5,14 @@ refinement in one free boundary angle, analytic inversion for the pole
 radius in the four- and eight-sector cases, and dense residual grids for
 downstream contour extraction.  Every reported root is cross-checked
 against the quadrature oracle before it is returned.
+
+The brackets for a free angle are exact, not sampled.  With
+``u = t - theta0``, the residual's derivative in one chord angle ``t`` is
+``+-(a^2 + r0^2*cos 2u)`` for an even chord count, which never vanishes, and
+``+-2*r0*cos u*sqrt(a^2 - r0^2*sin^2 u)`` for an odd one, which changes sign
+only where ``cos u = 0``.  So the residual is monotone on the whole feasible
+interval, or on the two pieces either side of ``theta0 + pi/2 + m*pi``, and
+:func:`free_angle_brackets` finds every root from its values at the ends.
 """
 
 from __future__ import annotations
@@ -100,6 +108,8 @@ class SweepAxis:
             raise DomainError(f"axis {self.name!r} needs count >= 1, got {self.count}")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo <= self.hi):
             raise DomainError(f"axis {self.name!r} range must be ordered and finite")
+        if not math.isfinite(self.hi - self.lo):
+            raise DomainError(f"axis {self.name!r} range is too wide: hi - lo overflows")
 
     def grid_values(self) -> list[float]:
         if self.count == 1:
@@ -237,6 +247,48 @@ def feasible_interval(
     return lo, hi
 
 
+def free_angle_brackets(
+    cfg: CircleConfig, fixed_angles: Sequence[float], free_index: int
+) -> tuple[tuple[float, float], ...]:
+    """Every sign-change bracket of the residual in the freed angle, lowest first.
+
+    The search range is :func:`feasible_interval` pulled in from both ends
+    by ``1e-6*max(1, |lo|, |hi|)``.  For an odd chord count it is split at
+    the one residual extremum ``theta0 + pi/2 + m*pi`` that falls inside,
+    if any; each piece is then monotone (see the module docstring), so a
+    piece holds a root exactly when its end values change sign or one is
+    0.0.  Takes at most three residual evaluations.  Raises
+    :class:`SolverError` when no piece holds a root.
+    """
+    fixed = tuple(float(t) for t in fixed_angles)
+    lo, hi = feasible_interval(fixed, free_index)
+    margin = 1e-6 * max(1.0, abs(lo), abs(hi))
+    lo, hi = lo + margin, hi - margin
+    if not lo < hi:
+        raise SolverError(f"fixed angles leave no room at slot {free_index}")
+    a, r0, theta0 = cfg.a, cfg.r0, cfg.theta0
+    head, tail = fixed[:free_index], fixed[free_index:]
+    ends = [lo, hi]
+    values = [_residual_value(a, r0, theta0, head + (t,) + tail) for t in ends]
+    if len(fixed) % 2 == 0:  # odd chord count
+        # The end values are finite, so lo - theta0 is too.
+        turn = math.ceil((lo - theta0 - 0.5 * math.pi) / math.pi)
+        split = theta0 + (0.5 + turn) * math.pi
+        if lo < split < hi:
+            ends.insert(1, split)
+            values.insert(1, _residual_value(a, r0, theta0, head + (split,) + tail))
+    brackets = tuple(
+        (x0, x1)
+        for x0, x1, f0, f1 in zip(ends, ends[1:], values, values[1:])
+        if f0 == 0.0 or f1 == 0.0 or (f0 > 0.0) != (f1 > 0.0)
+    )
+    if not brackets:
+        raise SolverError(
+            f"no sign change of the residual over [{lo!r}, {hi!r}] at slot {free_index}"
+        )
+    return brackets
+
+
 def solve_free_angle(req: SolveRequest) -> SolveOutcome:
     """Refine one boundary angle to a balance root inside ``req.bracket``.
 
@@ -349,10 +401,11 @@ def sweep_grid(
             return ResidualGrid(axes=axes, values=(math.nan,) * math.prod(ax.count for ax in axes))
 
     # Every case tag's corrected residual is this one closed form, so a point
-    # needs only the checks that CircleConfig and check_fan would make.  An
-    # axis whose hi - lo overflows yields non-finite values, hence isfinite.
+    # needs only the checks that CircleConfig and check_fan would make, and
+    # the closed form's own: it raises DomainError where t - theta0 overflows
+    # (or theta0 is infinite, rounded past the largest float at the top of an
+    # axis), and that point holds NaN too.
     a = cfg.a
-    isfinite = math.isfinite
     point = [cfg.r0, cfg.theta0, *base]
     angles = base
     values: list[float] = []
@@ -360,7 +413,7 @@ def sweep_grid(
         for slot, value in zip(slots, combo):
             point[slot] = value
         r0, theta0 = point[0], point[1]
-        if not (0.0 <= r0 < a and isfinite(theta0)):
+        if not 0.0 <= r0 < a:
             values.append(math.nan)
             continue
         if moves_angle:
@@ -370,5 +423,8 @@ def sweep_grid(
             except DomainError:
                 values.append(math.nan)
                 continue
-        values.append(_residual_value(a, r0, theta0, angles))
+        try:
+            values.append(_residual_value(a, r0, theta0, angles))
+        except DomainError:
+            values.append(math.nan)
     return ResidualGrid(axes=axes, values=tuple(values))

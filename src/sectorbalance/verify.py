@@ -42,9 +42,8 @@ from .oracle import (
 from .solver import (
     SolveRequest,
     SolverError,
-    feasible_interval,
     find_root,
-    scan_sign_change,
+    free_angle_brackets,
     solve_free_angle,
     solve_pole_radius,
 )
@@ -237,21 +236,17 @@ def check_solver_soundness(seed: int, trials: int) -> CheckResult:
         fixed = tuple(sorted(rng.uniform(0.0, 0.6 * PI) for _ in range(3)))
         if min(b - a for a, b in zip(fixed, fixed[1:])) < 0.05:
             continue
-        lo, hi = feasible_interval(fixed, 3)
-        margin = 1e-6 * max(1.0, abs(lo), abs(hi))
-
-        def f(value: float) -> float:
-            return residual_eight(cfg, *fixed, value).residual
-
         try:
-            bracket = scan_sign_change(f, lo + margin, hi - margin)
+            bracket = free_angle_brackets(cfg, fixed, 3)[0]
             outcome = solve_free_angle(
                 SolveRequest(cfg=cfg, fixed_angles=fixed, free_index=3, bracket=bracket)
             )
         except SolverError:
             continue
         a2 = cfg.a * cfg.a
-        worst_res = max(worst_res, abs(outcome.residual_at_root) / a2)
+        # The public residual, outside the try: a fault in it must raise, not skip.
+        residual = residual_eight(cfg, *fixed, outcome.root).residual
+        worst_res = max(worst_res, abs(residual) / a2)
         worst_quad = max(worst_quad, abs(outcome.oracle_check) / a2)
         solved += 1
 
@@ -284,7 +279,7 @@ def check_solver_soundness(seed: int, trials: int) -> CheckResult:
     return CheckResult(
         "solver_soundness",
         passed,
-        f"{solved}/{trials} scanned roots (worst closed {worst_res:.3e}, quadrature "
+        f"{solved}/{trials} bracketed roots (worst closed {worst_res:.3e}, quadrature "
         f"{worst_quad:.3e} per a^2), analytic vs numeric radius gap {worst_gap:.3e}",
     )
 

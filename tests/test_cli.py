@@ -150,6 +150,16 @@ class TestResidual:
                                   "--r0", "0.2", "--theta0", "0", "--chords", "0,1"])
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--theta0", "1e308", "--chords", "0,1"],
+        ["--theta0=-1e308", "--chords", "1e308"],
+        ["--theta0=-1e308", "--chords", "0,0.1,0.2", "--case", "six", "--audit"],
+    ], ids=["even-n", "odd-n", "as-printed"])
+    def test_overflowing_angle_difference_is_domain_error(self, capsys, flags):
+        code, out, err = run(capsys, ["residual", "--a", "1", "--r0", "0.5", *flags])
+        assert (code, out) == (2, "")
+        assert "domain error" in err and "overflows" in err
+
     def test_half_turn_edge_fan_has_a_residual(self, capsys):
         # The span is one rounding step below pi: a valid fan, though its
         # antipodal partition rounds to a full turn.
@@ -220,6 +230,32 @@ class TestSolve:
                                   "--free-index", "3"])
         assert code == 1
 
+    def test_two_root_fan_reports_the_lower_root(self, capsys):
+        code, out, _ = run(capsys, ["solve", "--a", "1", "--r0", "0.5", "--theta0=0.1",
+                                    "--chords=-0.4,0.3,1.52", "--free-index", "3"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["root"] == pytest.approx(0.857199632513, abs=1e-9)
+        assert doc["bracket"][1] == pytest.approx(0.1 + PI / 2, abs=1e-12)
+
+    def test_no_root_in_feasible_interval_is_solver_error(self, capsys):
+        code, _, err = run(capsys, ["solve", "--case", "eight", "--a", "1",
+                                    "--chords", "0,2.0,2.1,3", "--free-index", "4"])
+        assert code == 3
+        assert "no sign change" in err
+
+    def test_case_size_mismatch_is_domain_error_before_bracketing(self, capsys):
+        code, _, err = run(capsys, ["solve", "--case", "six", "--a", "1",
+                                    "--chords", "0,1", "--free-index", "2"])
+        assert code == 2
+        assert "case 'six' takes 3 base angles, got 2" in err
+
+    def test_overflowing_angle_difference_is_domain_error(self, capsys):
+        code, out, err = run(capsys, ["solve", "--a", "1", "--r0", "0.5", "--theta0", "1e308",
+                                      "--chords", "0,1", "--free-index", "2"])
+        assert (code, out) == (2, "")
+        assert "domain error" in err and "overflows" in err
+
     @pytest.mark.parametrize("bracket", ["1,2,3", "1", "a,b"])
     def test_malformed_bracket_is_usage_error(self, capsys, bracket):
         code, _, _ = run(capsys, ["solve", "--a", "1", "--chords", "0,1",
@@ -258,6 +294,18 @@ class TestSweep:
         assert run_cli(["sweep", "--a", "1", "--chords", "0,1",
                         "--grid", "radius=0:1:5"]) == 2
 
+    def test_point_whose_angle_difference_overflows_is_null(self, capsys):
+        code, out, _ = run(capsys, ["sweep", "--a", "1", "--chords", "0,1",
+                                    "--grid", "theta0=1e308:1e308:1"])
+        assert code == 0
+        assert json.loads(out)["values"] == [None]
+
+    def test_axis_whose_width_overflows_is_domain_error(self, capsys):
+        code, out, err = run(capsys, ["sweep", "--a", "1", "--chords", "0,1",
+                                      "--grid", "theta0=-1e308:1e308:3"])
+        assert (code, out) == (2, "")
+        assert "hi - lo overflows" in err
+
 
 # (chord count, --case flag, expected "case" field)
 CASE_FIELDS = [
@@ -273,7 +321,7 @@ class TestCaseField:
     @pytest.mark.parametrize("n,case,expected", CASE_FIELDS)
     def test_solve_and_sweep_report_the_case(self, capsys, n, case, expected):
         # Centred pole and equal spacing: t1 = 0 balances every even fan, and
-        # an odd fan's residual vanishes everywhere, so the scan finds a root.
+        # an odd fan's residual vanishes everywhere, so a bracket holds a root.
         chords = ",".join(repr(k * PI / n) for k in range(n))
         flags = ["--a", "1", "--r0", "0", "--theta0", "0", "--chords", chords]
         if case is not None:

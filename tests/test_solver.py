@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -18,6 +19,7 @@ from sectorbalance import (
     case_residual,
     feasible_interval,
     find_root,
+    free_angle_brackets,
     residual_four,
     residual_eight,
     scan_sign_change,
@@ -25,6 +27,8 @@ from sectorbalance import (
     solve_pole_radius,
     sweep_grid,
 )
+from sectorbalance import solver
+from sectorbalance.conditions import _residual_value
 from sectorbalance.verify import random_circle
 
 PI = math.pi
@@ -90,6 +94,153 @@ class TestFeasibleInterval:
     def test_slot_outside_the_fan_is_domain_error(self, free_index):
         with pytest.raises(DomainError, match="out of range for 2 fixed angles"):
             feasible_interval((0.0, 1.0), free_index)
+
+
+def _spread_fan(rng, n):
+    """n increasing angles spanning 0.3..0.95 pi, with gaps of at least 0.03."""
+    t1 = rng.uniform(-PI, PI)
+    if n == 1:
+        return (t1,)
+    while True:
+        span = rng.uniform(0.3, 0.95 * PI)
+        offsets = [0.0, *sorted(rng.uniform(0.0, span) for _ in range(n - 2)), span]
+        if min(b - a for a, b in zip(offsets, offsets[1:])) >= 0.03:
+            return tuple(t1 + o for o in offsets)
+
+
+def _search_range(fixed, k):
+    lo, hi = feasible_interval(fixed, k)
+    margin = 1e-6 * max(1.0, abs(lo), abs(hi))
+    return lo + margin, hi - margin
+
+
+def _bracket_cases(seed, counts, fans_per_count):
+    """(cfg, fixed, k) for every slot of seeded fans, r0 at 0, random and 0.95a."""
+    rng = random.Random(seed)
+    for n in counts:
+        for _ in range(fans_per_count):
+            fan = _spread_fan(rng, n)
+            a = rng.uniform(0.5, 2.0)
+            theta0 = rng.uniform(-PI, PI)
+            for rho in (0.0, rng.uniform(0.05, 0.9), 0.95):
+                cfg = CircleConfig(a, rho * a, theta0)
+                for k in range(n):
+                    yield cfg, fan[:k] + fan[k + 1:], k
+
+
+def _residual_at(cfg, fixed, k, t):
+    return _residual_value(cfg.a, cfg.r0, cfg.theta0, fixed[:k] + (t,) + fixed[k:])
+
+
+def _check_against_dense_sample(cfg, fixed, k):
+    """Assert one bracket per sign change of a 4000-point sample; return the count."""
+    lo, hi = _search_range(fixed, k)
+    step = (hi - lo) / 3999
+    dense = [_residual_at(cfg, fixed, k, lo + i * step) for i in range(4000)]
+    try:
+        brackets = free_angle_brackets(cfg, fixed, k)
+    except SolverError as exc:
+        assert "no sign change" in str(exc)
+        brackets = ()
+    if len(fixed) % 2 == 0 and cfg.r0 == 0.0:
+        # A centred pole balances every odd fan: the residual is 0.0
+        # everywhere, so every piece is a bracket.
+        assert set(dense) == {0.0}
+        assert brackets[0][0] == lo and brackets[-1][1] == hi
+        return len(brackets)
+    assert 0.0 not in dense
+    changes = sum((f0 > 0.0) != (f1 > 0.0) for f0, f1 in zip(dense, dense[1:]))
+    assert len(brackets) == changes, (cfg, fixed, k)
+    for x0, x1 in brackets:
+        assert lo <= x0 < x1 <= hi
+        f0, f1 = _residual_at(cfg, fixed, k, x0), _residual_at(cfg, fixed, k, x1)
+        assert f0 == 0.0 or f1 == 0.0 or (f0 > 0.0) != (f1 > 0.0)
+    assert list(brackets) == sorted(brackets)
+    return len(brackets)
+
+
+class TestFreeAngleBrackets:
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_one_bracket_per_dense_sign_change(self, n):
+        for cfg, fixed, k in _bracket_cases(500 + n, [n], 2):
+            _check_against_dense_sample(cfg, fixed, k)
+
+    def test_one_bracket_per_dense_sign_change_near_a_two_root_fan(self):
+        # Random fans hold two roots in one slot only rarely, so perturb one that does.
+        rng = random.Random(2021)
+        counts = []
+        for _ in range(40):
+            a = rng.uniform(0.5, 2.0)
+            cfg = CircleConfig(a, rng.uniform(0.3, 0.9) * a, 0.1 + rng.uniform(-0.3, 0.3))
+            fixed = (-0.4 + rng.uniform(-0.1, 0.1), 0.3 + rng.uniform(-0.1, 0.1))
+            counts.append(_check_against_dense_sample(cfg, fixed, 2))
+        assert counts.count(2) >= 10
+
+    def test_single_chord_has_no_feasible_interval(self):
+        with pytest.raises(SolverError, match="single free chord"):
+            free_angle_brackets(CircleConfig(1.0, 0.5, 0.0), (), 0)
+
+    def test_slot_narrower_than_the_margins_is_solver_error(self):
+        with pytest.raises(SolverError, match="no room at slot 1"):
+            free_angle_brackets(CircleConfig(1.0, 0.3, 0.0), (0.0, 1e-7), 1)
+
+    def test_at_most_three_evaluations_and_one_bracket_per_monotone_piece(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _residual_value(*args)
+
+        monkeypatch.setattr(solver, "_residual_value", counted)
+        for cfg, fixed, k in _bracket_cases(77, range(2, 10), 3):
+            calls.clear()
+            try:
+                brackets = free_angle_brackets(cfg, fixed, k)
+            except SolverError:
+                brackets = ()
+            assert 2 <= len(calls) <= 3
+            assert len(brackets) <= (2 if len(fixed) % 2 == 0 else 1)
+
+    def test_even_fans_bracketed_exactly_where_the_scan_finds_a_root(self):
+        outcomes = []
+        for cfg, fixed, k in _bracket_cases(31, (2, 4, 6, 8), 6):
+            lo, hi = _search_range(fixed, k)
+            try:
+                scan_sign_change(lambda t: _residual_at(cfg, fixed, k, t), lo, hi)
+                scanned = True
+            except SolverError:
+                scanned = False
+            try:
+                bracketed = len(free_angle_brackets(cfg, fixed, k)) == 1
+            except SolverError:
+                bracketed = False
+            assert bracketed == scanned, (cfg, fixed, k)
+            outcomes.append(scanned)
+        assert True in outcomes and False in outcomes
+
+    def test_two_roots_of_an_odd_fan_lowest_first(self):
+        cfg = CircleConfig(1.0, 0.5, 0.1)
+        brackets = free_angle_brackets(cfg, (-0.4, 0.3), 2)
+        assert len(brackets) == 2
+        roots = [
+            solve_free_angle(SolveRequest(cfg=cfg, fixed_angles=(-0.4, 0.3), free_index=2,
+                                          bracket=bracket)).root
+            for bracket in brackets
+        ]
+        assert roots[0] == pytest.approx(0.857199632513, abs=1e-9)
+        assert roots[1] == pytest.approx(2.484393021077, abs=1e-9)
+
+    @pytest.mark.parametrize("turns", [0, -3, 10**6, -10**9])
+    def test_split_at_the_extremum_whatever_the_turns_of_theta0(self, turns):
+        # The residual depends on theta0 only modulo a full turn.
+        cfg = CircleConfig(1.0, 0.5, 0.1 + 2 * PI * turns)
+        brackets = free_angle_brackets(cfg, (-0.4, 0.3), 2)
+        assert len(brackets) == 2
+        assert brackets[0][1] == pytest.approx(0.1 + PI / 2, abs=1e-6)
+
+    def test_overflowing_angle_difference_is_domain_error(self):
+        with pytest.raises(DomainError, match="overflows"):
+            free_angle_brackets(CircleConfig(1.0, 0.5, 1e308), (0.0,), 1)
 
 
 class TestSolveFreeAngle:
@@ -295,6 +446,25 @@ class TestSweepGrid:
             SweepAxis("r0", 0.0, 1.0, 0)
         with pytest.raises(DomainError):
             ResidualGrid(axes=(SweepAxis("r0", 0.0, 1.0, 3),), values=(0.0,))
+
+    def test_axis_whose_width_overflows_is_domain_error(self):
+        # Its step would be inf, and its grid values [nan, inf, inf].
+        with pytest.raises(DomainError, match="hi - lo overflows"):
+            SweepAxis("theta0", -1e308, 1e308, 3)
+
+    @pytest.mark.parametrize("angles", [(0.0, 1.0), (0.0, 0.5, 1.0)])
+    def test_point_whose_angle_difference_overflows_is_nan(self, angles):
+        cfg = CircleConfig(1.0, 0.5, 0.0)
+        axes = [SweepAxis("theta0", -1.7e308, 0.0, 2)]
+        values = sweep_grid(cfg, angles, axes).values
+        assert math.isnan(values[0]) == (len(angles) % 2 == 0)
+        assert values[1] == case_residual(cfg, angles).residual
+        # The top value of this axis rounds past the largest float to inf.
+        top = SweepAxis("theta0", 0.0, sys.float_info.max, 4)
+        assert top.grid_values()[-1] == math.inf
+        values = sweep_grid(cfg, angles, [top]).values
+        even = len(angles) % 2 == 0  # 2*(t - theta0) overflows already at 2/3 of the top
+        assert [math.isnan(v) for v in values] == [False, False, even, True]
 
     def test_unknown_case_tag_is_domain_error(self):
         # Not a grid of NaN: the tag is checked once, before any point.

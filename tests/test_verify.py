@@ -33,6 +33,11 @@ class TestPizzaCancellation:
 
 
 class TestSolverSoundness:
+    def test_every_trial_is_bracketed_and_solved(self):
+        check = check_solver_soundness(0, 20)
+        assert check.passed, check.detail
+        assert check.detail.startswith("20/20 bracketed roots")
+
     def test_real_bug_is_not_a_skipped_trial(self, monkeypatch):
         real = verify.residual_eight
 
