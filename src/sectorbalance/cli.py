@@ -164,6 +164,20 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _emit_report(args, payload: dict, header: tuple[str, ...], rows) -> None:
+    """Write ``payload`` as JSON, or ``rows`` under ``header`` as CSV.
+
+    A row that is a dict is one of the payload's records, read by header key.
+    """
+    rows = tuple(tuple(row[key] for key in header) if isinstance(row, dict) else row
+                 for row in rows)
+    _emit(write_report(Report(payload, header, rows), args.format), args.out)
+
+
+def _case_tag(args) -> str | None:
+    return _CLI_CASES[args.case] if args.case else None
+
+
 def _cmd_areas(args) -> int:
     cfg, chords, mode, tol, seed = _resolved_inputs(args)
     part = build_partition(ChordFan(chords))
@@ -184,33 +198,24 @@ def _cmd_areas(args) -> int:
     else:
         raise ConfigError(f"areas does not support mode {mode!r}")
 
-    sectors: list[dict] = []
-    rows = []
-    for i, ((lo, hi), area, extra) in enumerate(
-        zip(part.sectors, report.sector_areas, extras), start=1
-    ):
-        parity = "odd" if i % 2 else "even"
-        sectors.append({"index": i, "theta_lo": lo, "theta_hi": hi, "area": area,
-                        **extra, "parity": parity})
-        rows.append((i, lo, hi, area, parity))
-    payload["sectors"] = sectors
+    sectors = zip(part.sectors, report.sector_areas, extras)
+    payload["sectors"] = [
+        {"index": i, "theta_lo": lo, "theta_hi": hi, "area": area, **extra,
+         "parity": "odd" if i % 2 else "even"}
+        for i, ((lo, hi), area, extra) in enumerate(sectors, start=1)
+    ]
     payload["odd_sum"] = report.odd_sum
     payload["even_sum"] = report.even_sum
     payload["total"] = report.total
-
-    report_obj = Report(
-        payload=payload,
-        csv_header=("index", "theta_lo", "theta_hi", "area", "parity"),
-        csv_rows=tuple(rows),
-    )
-    _emit(write_report(report_obj, args.format), args.out)
+    # Monte Carlo's stderr key stays JSON-only.
+    _emit_report(args, payload, ("index", "theta_lo", "theta_hi", "area", "parity"),
+                 payload["sectors"])
     return 0
 
 
 def _cmd_residual(args) -> int:
     cfg, chords, mode, tol, _ = _resolved_inputs(args)
-    case_tag = _CLI_CASES[args.case] if args.case else None
-    closed = case_residual(cfg, chords, case_tag)
+    closed = case_residual(cfg, chords, _case_tag(args))
     if mode not in ("closed", "quadrature"):
         raise ConfigError(f"residual does not support mode {mode!r}")
     quad = (quadrature_residual(cfg, chords, _quad_spec(cfg, tol))
@@ -233,20 +238,13 @@ def _cmd_residual(args) -> int:
             audit[VARIANT_AS_PRINTED] = printed.residual
         payload["audit"] = audit
         rows.extend((closed.case_tag, variant, v) for variant, v in audit.items())
-    _emit(
-        write_report(
-            Report(payload=payload, csv_header=("case", "variant", "residual"),
-                   csv_rows=tuple(rows)),
-            args.format,
-        ),
-        args.out,
-    )
+    _emit_report(args, payload, ("case", "variant", "residual"), rows)
     return 0
 
 
 def _cmd_solve(args) -> int:
     cfg, chords, _, tol, _ = _resolved_inputs(args)
-    case_tag = _CLI_CASES[args.case] if args.case else None
+    case_tag = _case_tag(args)
     tol = tol if tol is not None else 1e-11
     scale = _DEG if args.degrees else 1.0
 
@@ -268,45 +266,34 @@ def _cmd_solve(args) -> int:
                          bracket=bracket, tol=tol, case_tag=case_tag)
         )
         free_name = f"theta{k}"
-        bracket_field: list[float] | None = [bracket[0], bracket[1]]
     else:
         if case_tag not in (CASE_FOUR, CASE_EIGHT):
             raise ConfigError(
                 "pole-radius solve needs --case four or eight; pass --free-index to solve for an angle"
             )
         outcome = solve_pole_radius(chords, cfg.theta0, cfg.a, case_tag, tol)
-        free_name = "r0"
-        bracket_field = None
+        free_name, bracket = "r0", None
 
     payload = {
         "command": "solve",
         "case": resolve_case(case_tag, len(chords)),
         "free_parameter": free_name,
-        "bracket": bracket_field,
+        "bracket": list(bracket) if bracket else None,
         **_circle_fields(cfg, chords),
         "root": outcome.root,
         "residual_at_root": outcome.residual_at_root,
         "iterations": outcome.iterations,
         "oracle_check": outcome.oracle_check,
     }
-    rows = ((free_name, outcome.root, outcome.residual_at_root, outcome.iterations,
-             outcome.oracle_check),)
-    _emit(
-        write_report(
-            Report(payload=payload,
-                   csv_header=("free_parameter", "root", "residual_at_root",
-                               "iterations", "oracle_check"),
-                   csv_rows=rows),
-            args.format,
-        ),
-        args.out,
-    )
+    _emit_report(args, payload,
+                 ("free_parameter", "root", "residual_at_root", "iterations", "oracle_check"),
+                 [payload])
     return 0
 
 
 def _cmd_sweep(args) -> int:
     cfg, chords, _, _, _ = _resolved_inputs(args)
-    case_tag = _CLI_CASES[args.case] if args.case else None
+    case_tag = _case_tag(args)
     if not args.grid:
         raise ConfigError("sweep needs at least one --grid axis=lo:hi:n")
     axes = []
@@ -325,17 +312,10 @@ def _cmd_sweep(args) -> int:
                  for ax in grid.axes],
         "values": list(grid.values),
     }
+    # Axis names may repeat, so the CSV rows cannot be read from dicts.
     coords = itertools.product(*(ax.grid_values() for ax in grid.axes))
-    rows = tuple((*point, value) for point, value in zip(coords, grid.values))
-    _emit(
-        write_report(
-            Report(payload=payload,
-                   csv_header=tuple(ax.name for ax in grid.axes) + ("residual",),
-                   csv_rows=rows),
-            args.format,
-        ),
-        args.out,
-    )
+    _emit_report(args, payload, tuple(ax.name for ax in grid.axes) + ("residual",),
+                 [(*point, value) for point, value in zip(coords, grid.values)])
     return 0
 
 
@@ -367,14 +347,7 @@ def _cmd_verify(args) -> int:
         ],
         "passed": all(r.passed for r in results),
     }
-    _emit(
-        write_report(
-            Report(payload=payload, csv_header=("name", "passed", "detail"),
-                   csv_rows=tuple((r.name, r.passed, r.detail) for r in results)),
-            args.format,
-        ),
-        args.out,
-    )
+    _emit_report(args, payload, ("name", "passed", "detail"), payload["checks"])
     return 0 if payload["passed"] else 3
 
 

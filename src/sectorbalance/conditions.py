@@ -35,6 +35,7 @@ from .geometry import (
     ChordFan,
     CircleConfig,
     DomainError,
+    _check_phases,
     area_report,
     build_partition,
     check_fan,
@@ -79,19 +80,6 @@ class EightSectorCheck(NamedTuple):
     #: cos(t4-t2) - tan(t1+t3-2*theta0)*cos(t3-t1); None when the tangent
     #: argument sits on a pole of tan and the form is indeterminate.
     tan_form: Optional[float]
-
-
-def _check_phases(theta0: float, angles: tuple[float, ...], scale: float) -> None:
-    """Raise :class:`DomainError` if ``scale*(t - theta0)`` overflows for some angle.
-
-    Called only once ``math.sin`` has raised, so a valid fan pays nothing.
-    """
-    for t in angles:
-        if not math.isfinite(scale * (t - theta0)):
-            raise DomainError(
-                f"chord angle {t!r} lies too far from theta0 {theta0!r}: "
-                "the closed form's angle difference overflows"
-            )
 
 
 def _sin2(cfg: CircleConfig, theta: float) -> float:

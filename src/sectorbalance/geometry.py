@@ -126,7 +126,9 @@ class SectorPartition:
             raise DomainError("partition boundaries must span less than a full turn")
         n = len(b) // 2
         for i in range(n):
-            if abs(b[n + i] - b[i] - math.pi) > _TURN_SLACK:
+            # build_partition rounds t + pi to the nearest double, which is off
+            # by up to half an ulp of the antipode: more than the slack past 1.6e4.
+            if abs(b[n + i] - b[i] - math.pi) > max(_TURN_SLACK, math.ulp(b[n + i])):
                 raise DomainError(
                     f"boundary {n + i + 1} must be boundary {i + 1} plus pi "
                     f"(got difference {b[n + i] - b[i]!r})"
@@ -189,6 +191,19 @@ def substituted_angle(cfg: CircleConfig, theta: float) -> float:
     return math.asin((cfg.r0 / cfg.a) * math.sin(theta - cfg.theta0))
 
 
+def _check_phases(theta0: float, angles: tuple[float, ...], scale: float) -> None:
+    """Raise :class:`DomainError` if ``scale*(t - theta0)`` overflows for some angle.
+
+    Called only once ``math.sin`` has raised, so a valid fan pays nothing.
+    """
+    for t in angles:
+        if not math.isfinite(scale * (t - theta0)):
+            raise DomainError(
+                f"chord angle {t!r} lies too far from theta0 {theta0!r}: "
+                "the closed form's angle difference overflows"
+            )
+
+
 def _check_interval(theta_a: float, theta_b: float) -> float:
     """Validate an unwrapped angular interval; returns its width."""
     if not (math.isfinite(theta_a) and math.isfinite(theta_b)):
@@ -217,9 +232,14 @@ def sector_area_closed(cfg: CircleConfig, theta_a: float, theta_b: float) -> flo
     """
     delta = _check_interval(theta_a, theta_b)
     a2 = cfg.a * cfg.a
-    xa = substituted_angle(cfg, theta_a)
-    xb = substituted_angle(cfg, theta_b)
-    harmonic = math.sin(2.0 * (theta_b - cfg.theta0)) - math.sin(2.0 * (theta_a - cfg.theta0))
+    try:
+        xa = substituted_angle(cfg, theta_a)
+        xb = substituted_angle(cfg, theta_b)
+        harmonic = math.sin(2.0 * (theta_b - cfg.theta0)) - math.sin(2.0 * (theta_a - cfg.theta0))
+    except ValueError:
+        # math.sin raises only on an infinite argument.
+        _check_phases(cfg.theta0, (theta_a, theta_b), 2.0)
+        raise
     radical = (xb - xa) + 0.5 * (math.sin(2.0 * xb) - math.sin(2.0 * xa))
     return 0.5 * a2 * delta + 0.25 * cfg.r0 * cfg.r0 * harmonic + 0.5 * a2 * radical
 

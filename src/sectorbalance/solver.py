@@ -151,8 +151,8 @@ def find_root(
 
     Tries a secant step from the two most recent evaluations and falls back
     to bisection whenever the candidate leaves the current bracket.  Stops
-    as soon as ``|f| <= ftol``; if the bracket narrows to ``xtol`` first,
-    the better endpoint must still satisfy ``ftol`` or the search fails.
+    as soon as ``|f| <= ftol``, and fails if the bracket first narrows to
+    ``xtol``, or to two neighbouring doubles with none between them.
     Returns ``(root, f(root), iterations)``.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -192,12 +192,16 @@ def find_root(
             b, fb = x_new, f_new
         x_prev, f_prev = x_cur, f_cur
         x_cur, f_cur = x_new, f_new
+        # Both ends were checked against ftol when they were evaluated.
         if b - a <= xtol:
-            root, froot = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
-            if abs(froot) <= ftol:
-                return root, froot, iteration
             raise SolverError(
-                f"bracket narrowed to {b - a!r} but |residual|={abs(froot)!r} stays above {ftol!r}"
+                f"bracket narrowed to {b - a!r} but |residual|={min(abs(fa), abs(fb))!r} "
+                f"stays above {ftol!r}"
+            )
+        if not a < 0.5 * (a + b) < b:
+            raise SolverError(
+                f"bracket [{a!r}, {b!r}] is at float resolution but |residual|="
+                f"{min(abs(fa), abs(fb))!r} stays above {ftol!r}"
             )
     raise SolverError(f"max iterations ({max_iter}) exceeded")
 
@@ -253,16 +257,20 @@ def free_angle_brackets(
     """Every sign-change bracket of the residual in the freed angle, lowest first.
 
     The search range is :func:`feasible_interval` pulled in from both ends
-    by ``1e-6*max(1, |lo|, |hi|)``.  For an odd chord count it is split at
-    the one residual extremum ``theta0 + pi/2 + m*pi`` that falls inside,
-    if any; each piece is then monotone (see the module docstring), so a
-    piece holds a root exactly when its end values change sign or one is
-    0.0.  Takes at most three residual evaluations.  Raises
-    :class:`SolverError` when no piece holds a root.
+    by ``4*ulp(max(|lo|, |hi|) + pi)``, a few roundings of the largest value
+    the fan check forms.  So both ends stay valid fans (the ``+ pi`` covers
+    the half-turn span test when the angles are small), and only a root
+    closer than that to a neighbouring chord or the half-turn edge is left
+    out.  For an odd chord count the range is split at the one residual
+    extremum ``theta0 + pi/2 + m*pi`` that falls inside, if any; each piece
+    is then monotone (see the module docstring), so a piece holds a root
+    exactly when its end values change sign or one is 0.0.  Takes at most
+    three residual evaluations.  Raises :class:`SolverError` when no piece
+    holds a root.
     """
     fixed = tuple(float(t) for t in fixed_angles)
     lo, hi = feasible_interval(fixed, free_index)
-    margin = 1e-6 * max(1.0, abs(lo), abs(hi))
+    margin = 4.0 * math.ulp(max(abs(lo), abs(hi)) + math.pi)
     lo, hi = lo + margin, hi - margin
     if not lo < hi:
         raise SolverError(f"fixed angles leave no room at slot {free_index}")

@@ -3,9 +3,11 @@ import json
 import math
 import subprocess
 import sys
+import types
 
 import pytest
 
+from sectorbalance import verify
 from sectorbalance.cli import run_cli
 
 PI = math.pi
@@ -97,6 +99,25 @@ class TestAreas:
             assert out == ""
             assert "sectorbalance: quadrature error:" in err
             assert "not met within max_depth=40" in err
+
+    def test_chords_near_1e5_have_areas(self, capsys):
+        # The antipodes t + pi round by more than an absolute 1e-12 here.
+        argv = ["areas", "--a", "1", "--r0", "0.5", "--chords", "100000,100001"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        closed = json.loads(out)
+        assert closed["total"] == pytest.approx(PI, rel=1e-12)
+        code, out, _ = run(capsys, [*argv, "--mode", "quadrature"])
+        assert code == 0
+        quad = json.loads(out)
+        for c, q in zip(closed["sectors"], quad["sectors"]):
+            assert abs(c["area"] - q["area"]) <= 1e-9
+
+    def test_overflowing_angle_difference_is_domain_error(self, capsys):
+        code, out, err = run(capsys, ["areas", "--a", "1", "--r0", "0.5", "--theta0", "1e308",
+                                      "--chords", "0,1"])
+        assert (code, out) == (2, "")
+        assert "domain error" in err and "overflows" in err
 
     def test_degrees_flag_converts_inputs(self, capsys):
         _, rad_out, _ = run(capsys, ["areas", "--a", "1", "--r0", "0.4",
@@ -256,6 +277,12 @@ class TestSolve:
         assert (code, out) == (2, "")
         assert "domain error" in err and "overflows" in err
 
+    def test_chords_near_1e5_solve(self, capsys):
+        code, out, _ = run(capsys, ["solve", "--a", "1", "--r0", "0.5", "--theta0", "100000",
+                                    "--chords", "100000,100001.48", "--free-index", "2"])
+        assert code == 0
+        assert json.loads(out)["root"] == pytest.approx(100000 + PI / 2, abs=1e-9)
+
     @pytest.mark.parametrize("bracket", ["1,2,3", "1", "a,b"])
     def test_malformed_bracket_is_usage_error(self, capsys, bracket):
         code, _, _ = run(capsys, ["solve", "--a", "1", "--chords", "0,1",
@@ -342,6 +369,12 @@ class TestRender:
         assert out.startswith("<svg ")
         assert out.endswith("</svg>\n")
 
+    def test_overflowing_angle_difference_is_domain_error(self, capsys):
+        code, out, err = run(capsys, ["render", "--a", "1", "--r0", "0.5", "--theta0", "1e308",
+                                      "--chords", "0,1"])
+        assert (code, out) == (2, "")
+        assert "domain error" in err and "overflows" in err
+
 
 class TestConfigFile:
     def test_config_file_drives_run(self, capsys, tmp_path):
@@ -421,6 +454,37 @@ class TestDeterminism:
         assert code == code2 == 0
         assert path.read_text(encoding="utf-8") == out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [*command, *flags]
+            for command in (
+                ["areas", "--a", "1.3", "--r0", "0.5", "--theta0", "0.7",
+                 "--chords", "0.2,0.9,1.6", "--mode", "montecarlo", "--samples", "20000"],
+                ["residual", "--case", "six", "--a", "1", "--r0", "0.5", "--theta0", "0.3",
+                 "--chords=-0.2,0.3,0.8", "--audit"],
+                ["solve", "--case", "eight", "--a", "1", "--r0", "0.5", "--theta0", "0.2",
+                 "--chords", "0,0.8,1.3,2", "--free-index", "4"],
+                ["sweep", "--a", "1", "--chords", "0,1.2", "--grid", "r0=0:1.2:4",
+                 "--grid", "theta0=0:1:3"],
+                ["verify", "--trials", "20", "--samples", "10000"],
+            )
+            for flags in (["--format", "json"], ["--format", "csv"])
+        ]
+        + [["render", "--a", "1.3", "--r0", "0.5", "--theta0", "0.7", "--chords", "0.2,0.9,1.6"]],
+        ids=[f"{command}-{fmt}" for command in ("areas", "residual", "solve", "sweep", "verify")
+             for fmt in ("json", "csv")] + ["render"],
+    )
+    def test_every_report_out_file_matches_stdout(self, capsys, tmp_path, monkeypatch, argv):
+        # verify's details carry wall times; a frozen clock lets two runs match.
+        monkeypatch.setattr(verify, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+        path = tmp_path / "report"
+        code, out, _ = run(capsys, argv)
+        code2 = run_cli([*argv, "--out", str(path)])
+        assert code == code2 == 0
+        assert out and path.read_bytes() == out.encode()
+        assert capsys.readouterr().out == ""
+
     def test_subprocess_runs_byte_identical(self, tmp_path):
         argv = [sys.executable, "-m", "sectorbalance", "areas", "--a", "1",
                 "--r0", "0.5", "--theta0", "0.1", "--chords", "0,0.8",
@@ -464,11 +528,18 @@ MC_OPTS = ["--samples", "20000", "--seed", "5"]
 # and theta2 passes theta1 and the half-turn.
 README_SWEEP = ["sweep", "--case", "four", "--a", "1", "--chords", "0,1.2",
                 "--grid", "r0=0:1.2:9", "--grid", "theta2=-0.2:3.3:8"]
+SIX_SECTOR_AUDIT = ["residual", "--case", "six", "--a", "1", "--r0", "0.5", "--theta0", "0.3",
+                    "--chords=-0.2,0.3,0.8", "--audit"]
+BRACKETED_SOLVE = ["solve", "--case", "eight", "--a", "1", "--r0", "0.5", "--theta0", "0.2",
+                   "--chords", "0,0.8,1.3,2", "--free-index", "4", "--bracket", "1.3000001,3.14"]
+README_POLE_RADIUS = ["solve", "--case", "four", "--a", "1", "--theta0", "0",
+                      "--chords=-0.7353981633974483,0.7353981633974483"]
 
 
 class TestPinnedBytes:
     """Stdout digests recorded before the sector table moved into geometry
-    (areas, render) and before sweeps evaluated the closed form directly (sweep)."""
+    (areas, render), before sweeps evaluated the closed form directly (sweep),
+    and before every report went through one writer (residual, solve)."""
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -511,11 +582,27 @@ class TestPinnedBytes:
             (["sweep", *FIXED_FAN, "--case", "general", "--grid", "theta0=-3.2:3.2:5",
               "--grid", "r0=0:1.6:4"],
              "d9e7560d0057801f39af65948902de134cd0a3bb7b27a8e847abb3a81d0f2b55"),
+            (SIX_SECTOR_AUDIT,
+             "8945c80f26fa2c6f5b7229e614419d8b771c9b497159355936a259aed710b869"),
+            ([*SIX_SECTOR_AUDIT, "--format", "csv"],
+             "592fde8758d384c8ce59593ac56a9e4708a15f793baaec2281598bb1482441f4"),
+            (["residual", *FIXED_FAN, "--mode", "quadrature", "--format", "csv"],
+             "b6a67e96b33be37f0b7d68955533de9afeae4664ed407da627e08214af8471ed"),
+            (BRACKETED_SOLVE,
+             "5baa0c60390b0ea3d97446d00100031e2d2b851a8a23499225ebf0d9df5fcbb8"),
+            ([*BRACKETED_SOLVE, "--format", "csv"],
+             "46552f6cbf40890486f6e6dafcd1f914ba60d9e18d1162d1a2f769f641f00965"),
+            (README_POLE_RADIUS,
+             "0a28dbf55a2a58ecbe48a0078f41ec889400e96d894461eab59263d00be9dc86"),
+            ([*README_POLE_RADIUS, "--format", "csv"],
+             "86608b875231eebd9561d2703ddedbfc04340fc8943172e1c7cd7eac854b83a6"),
         ],
         ids=[f"areas-{fan}-{mode}-{fmt}" for fan in ("fixed", "six")
              for mode in ("closed", "quadrature", "montecarlo") for fmt in ("json", "csv")]
         + ["render-n1", "render-n4", "sweep-readme-json", "sweep-readme-csv", "sweep-six-csv",
-           "sweep-general"],
+           "sweep-general", "residual-audit-json", "residual-audit-csv",
+           "residual-quadrature-csv", "solve-bracket-json", "solve-bracket-csv",
+           "solve-pole-radius-json", "solve-pole-radius-csv"],
     )
     def test_stdout_digest(self, capsys, argv, digest):
         code, out, _ = run(capsys, argv)

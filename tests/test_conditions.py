@@ -167,6 +167,10 @@ class TestResidualGeneral:
             report.residual, abs=1e-10
         )
 
+    def test_overflowing_angle_difference_is_domain_error(self):
+        with pytest.raises(DomainError, match="overflows"):
+            residual_general(CircleConfig(1.0, 0.5, 1e308), ChordFan((0.0, 1.0)))
+
     def test_consistency_with_area_report(self):
         rng = random.Random(31337)
         for _ in range(200):

@@ -168,6 +168,17 @@ class TestChordFanAndPartition:
         with pytest.raises(DomainError):
             SectorPartition((0.0, 1.0, PI, 1.0 + PI + 1e-6))
 
+    @pytest.mark.parametrize("t", [1e5, -1e5, 123456.789, 1e7])
+    def test_antipodes_of_large_angles_close_the_partition(self, t):
+        # t + pi rounds by up to half an ulp of the antipode, which is above
+        # the absolute slack once |t| passes about 1.6e4.
+        part = build_partition(ChordFan((t, t + 1.0)))
+        assert part.boundaries[2] == t + PI
+
+    def test_partition_off_by_1e9_at_small_angles_is_rejected(self):
+        with pytest.raises(DomainError, match="boundary 4 must be boundary 2 plus pi"):
+            SectorPartition((0.0, 1.0, PI, 1.0 + PI + 1e-9))
+
     def test_partition_rejects_odd_count(self):
         with pytest.raises(DomainError):
             SectorPartition((0.0, 1.0, PI))
@@ -179,6 +190,16 @@ class TestChordFanAndPartition:
 
 
 class TestAreaReport:
+    def test_overflowing_angle_difference_is_domain_error(self):
+        # 2*(t - theta0) overflows, where math.sin would raise a bare ValueError.
+        cfg = CircleConfig(1.0, 0.5, 1e308)
+        with pytest.raises(DomainError, match="overflows"):
+            area_report(cfg, build_partition(ChordFan((0.0, 1.0))))
+        # Here t - theta0 itself overflows, inside substituted_angle; the
+        # interval check scales its slack with |t|, so it lets this one through.
+        with pytest.raises(DomainError, match="overflows"):
+            sector_area_closed(CircleConfig(1.0, 0.5, -1e308), 1e308, 1e308 + 1e293)
+
     def test_centered_quarters(self):
         cfg = CircleConfig(2.0, 0.0, 0.0)
         report = area_report(cfg, build_partition(ChordFan((0.0, PI / 2))))

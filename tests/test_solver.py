@@ -53,6 +53,18 @@ class TestFindRoot:
         with pytest.raises(SolverError):
             find_root(math.cos, 0.0, 3.0, xtol=1e-300, ftol=1e-300, max_iter=3)
 
+    def test_stops_at_neighbouring_doubles(self):
+        calls = []
+
+        def step(x):
+            calls.append(x)
+            return -1.0 if x <= 1.0 else 2.0
+
+        with pytest.raises(SolverError,
+                           match=r"\[1.0, 1.0000000000000002\] is at float resolution"):
+            find_root(step, 1.0, math.nextafter(1.0, 2.0), xtol=1e-300, ftol=0.5)
+        assert len(calls) == 3
+
     def test_cubic(self):
         root, _, _ = find_root(lambda x: x**3 - 2.0, 0.0, 2.0, xtol=1e-14, ftol=1e-14)
         assert root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-12)
@@ -110,7 +122,7 @@ def _spread_fan(rng, n):
 
 def _search_range(fixed, k):
     lo, hi = feasible_interval(fixed, k)
-    margin = 1e-6 * max(1.0, abs(lo), abs(hi))
+    margin = 4.0 * math.ulp(max(abs(lo), abs(hi)) + PI)
     return lo + margin, hi - margin
 
 
@@ -182,7 +194,7 @@ class TestFreeAngleBrackets:
 
     def test_slot_narrower_than_the_margins_is_solver_error(self):
         with pytest.raises(SolverError, match="no room at slot 1"):
-            free_angle_brackets(CircleConfig(1.0, 0.3, 0.0), (0.0, 1e-7), 1)
+            free_angle_brackets(CircleConfig(1.0, 0.3, 0.0), (0.0, 1e-15), 1)
 
     def test_at_most_three_evaluations_and_one_bracket_per_monotone_piece(self, monkeypatch):
         calls = []
@@ -244,6 +256,23 @@ class TestFreeAngleBrackets:
 
 
 class TestSolveFreeAngle:
+    def test_root_below_float_resolution_is_solver_error(self, monkeypatch):
+        # At 2e6 one ulp moves the residual by more than tol*a^2 = 1e-11, so
+        # the search ends at two neighbouring doubles, not at max_iter.
+        cfg, fixed = CircleConfig(1.0, 0.3, 0.0), (2e6, 2000001.0, 2000002.0)
+        (bracket,) = free_angle_brackets(cfg, fixed, 3)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _residual_value(*args)
+
+        monkeypatch.setattr(solver, "_residual_value", counted)
+        with pytest.raises(SolverError, match="at float resolution"):
+            solve_free_angle(SolveRequest(cfg=cfg, fixed_angles=fixed, free_index=3,
+                                          bracket=bracket))
+        assert len(calls) < 40
+
     def test_centered_eight_sector_root_is_analytic(self):
         # At r0 = 0 the balancing fourth angle is t3 + pi/2 - (t2 - t1).
         cfg = CircleConfig(1.0, 0.0, 0.0)
