@@ -218,6 +218,10 @@ def _cmd_residual(args) -> int:
     closed = case_residual(cfg, chords, _case_tag(args))
     if mode not in ("closed", "quadrature"):
         raise ConfigError(f"residual does not support mode {mode!r}")
+    # The closed forms' domain errors name their cause more precisely than
+    # the quadrature's, so they are raised first.
+    printed = (residual_six(cfg, *chords, variant=VARIANT_AS_PRINTED)
+               if args.audit and closed.case_tag == CASE_SIX else None)
     quad = (quadrature_residual(cfg, chords, _quad_spec(cfg, tol))
             if mode == "quadrature" or args.audit else None)
     value = quad if mode == "quadrature" else closed.residual
@@ -233,8 +237,7 @@ def _cmd_residual(args) -> int:
     rows = [(closed.case_tag, closed.variant, value)]
     if args.audit:
         audit = {VARIANT_CORRECTED: closed.residual, "quadrature": quad}
-        if closed.case_tag == CASE_SIX:
-            printed = residual_six(cfg, *chords, variant=VARIANT_AS_PRINTED)
+        if printed is not None:
             audit[VARIANT_AS_PRINTED] = printed.residual
         payload["audit"] = audit
         rows.extend((closed.case_tag, variant, v) for variant, v in audit.items())
@@ -330,8 +333,11 @@ def _cmd_verify(args) -> int:
     trials = args.trials
     if trials < 1:
         raise ConfigError(f"--trials must be at least 1, got {trials}")
+    seed = args.seed if args.seed is not None else 0
+    if not 0 <= seed < 2**64:
+        raise DomainError(f"seed must fit an unsigned 64-bit integer, got {seed}")
     results = run_checks(
-        seed=args.seed if args.seed is not None else 0,
+        seed=seed,
         trials=trials,
         poles=max(4, trials // 10),
         solver_trials=max(5, trials // 20),

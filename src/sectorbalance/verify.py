@@ -163,7 +163,8 @@ def check_pizza_cancellation(seed: int, poles: int, mc_samples: int) -> CheckRes
         worst_res = max(worst_res, abs(residual_eight(cfg, *fan).residual) / a2)
         part = build_partition(ChordFan(fan))
         closed = area_report(cfg, part).sector_areas
-        estimates = montecarlo_area(cfg, part, MonteCarloSpec(samples=mc_samples, seed=seed + i))
+        spec = MonteCarloSpec(samples=mc_samples, seed=(seed + i) % 2**64)
+        estimates = montecarlo_area(cfg, part, spec)
         for (est, se), ref in zip(estimates, closed):
             worst_z = max(worst_z, abs(est - ref) / se)
             z_scores += 1

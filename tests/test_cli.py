@@ -113,6 +113,27 @@ class TestAreas:
         for c, q in zip(closed["sectors"], quad["sectors"]):
             assert abs(c["area"] - q["area"]) <= 1e-9
 
+    def test_quadrature_at_unresolved_phase_is_domain_error(self, capsys):
+        # At theta0 = 1e17, t - theta0 takes one value across every sector,
+        # so the quadrature saw a constant integrand and printed total 0.882.
+        argv = ["areas", "--a", "1", "--r0", "0.5", "--chords", "0,1", "--mode", "quadrature"]
+        code, out, err = run(capsys, [*argv, "--theta0", "1e17"])
+        assert (code, out) == (2, "")
+        assert "domain error" in err and "single angle relative to theta0" in err
+        # At 1e16, 1 - 1e16 rounds to -1e16, so sector [0, 1] is a single phase too.
+        code, out, err = run(capsys, [*argv, "--theta0", "1e16"])
+        assert (code, out) == (2, "")
+        assert "[0.0, 1.0] is a single angle" in err
+        # At 1e15 every sector keeps a few phases, none converges: exit 3.
+        code, out, err = run(capsys, [*argv, "--theta0", "1e15"])
+        assert (code, out) == (3, "")
+        assert "not met within max_depth=40" in err
+        # At 1e3 the areas are resolved and the output bytes are unchanged.
+        code, out, _ = run(capsys, [*argv, "--theta0", "1e3"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "0136a56d9175ec526c2870b5384b5b7f3822b56289f8a7c04994414d0e121489")
+
     def test_overflowing_angle_difference_is_domain_error(self, capsys):
         code, out, err = run(capsys, ["areas", "--a", "1", "--r0", "0.5", "--theta0", "1e308",
                                       "--chords", "0,1"])
@@ -508,6 +529,22 @@ class TestVerifySubcommand:
                                     "--format", "csv"])
         assert code == 0
         assert out.splitlines()[0] == "name,passed,detail"
+
+    def test_top_seed_runs(self, capsys):
+        # Pole i draws with Monte Carlo seed (seed + i) mod 2**64, so the
+        # largest seed wraps instead of overflowing on the second pole.
+        code, out, err = run(capsys, ["verify", "--seed", str(2**64 - 1), "--trials", "20",
+                                      "--samples", "20000"])
+        assert code == 0, err
+        assert json.loads(out)["passed"] is True
+
+    @pytest.mark.parametrize("seed", [str(-1), str(2**64)])
+    def test_seed_outside_64_bits_is_domain_error(self, capsys, seed):
+        code, out, err = run(capsys, ["verify", "--seed", seed, "--trials", "20",
+                                      "--samples", "20000"])
+        assert (code, out) == (2, "")
+        assert f"seed must fit an unsigned 64-bit integer, got {seed}" in err
+        assert "PASS" not in err
 
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_trials_below_one_is_usage_error(self, capsys, trials):

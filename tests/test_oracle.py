@@ -88,6 +88,12 @@ class TestQuadratureArea:
         with pytest.raises(QuadratureError):
             quadrature_area(cfg, 0.0, 6.0, QuadratureSpec(abs_tol=1e-16, max_depth=1))
 
+    @pytest.mark.parametrize("theta0", [1e17, -1e17, 1e300])
+    def test_unresolved_phase_is_domain_error(self, theta0):
+        # theta - theta0 rounds to one double across [0, 1]: a constant integrand.
+        with pytest.raises(DomainError, match="single angle relative to theta0"):
+            quadrature_area(CircleConfig(1.0, 0.5, theta0), 0.0, 1.0)
+
     def test_rejects_bad_interval(self):
         cfg = CircleConfig(1.0, 0.3, 0.0)
         with pytest.raises(DomainError):
@@ -232,6 +238,65 @@ class TestMonteCarlo:
     def test_equals_serial_shard_loop(self, monkeypatch, cpus, samples):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
         cfg = CircleConfig(1.4, 0.9, -2.2)
-        part = build_partition(ChordFan((-0.3, 0.4, 0.8, 1.1, 1.9)))
         spec = MonteCarloSpec(samples=samples, seed=2**64 - 3)
-        assert montecarlo_area(cfg, part, spec) == serial_montecarlo_area(cfg, part, spec)
+        # Five chords, the same fan shifted by 1e5 (where t - b[0] rounds),
+        # and a single chord.
+        for base in ((-0.3, 0.4, 0.8, 1.1, 1.9),
+                     tuple(1e5 + t for t in (-0.3, 0.4, 0.8, 1.1, 1.9)),
+                     (0.8,)):
+            part = build_partition(ChordFan(base))
+            assert montecarlo_area(cfg, part, spec) == serial_montecarlo_area(cfg, part, spec)
+
+
+def reference_sectors(part, t):
+    """Each angle's sector by the expression of ``serial_montecarlo_area``."""
+    b = part.boundaries
+    offsets = np.array([x - b[0] for x in b], dtype=np.float64)
+    return np.searchsorted(offsets, np.mod(t - b[0], TWO_PI), side="right") - 1
+
+
+def change_point_fans():
+    rng = random.Random(1313)
+    fans = []
+    for first in (0.0, PI, -PI, TWO_PI, -TWO_PI, -1e3, 1e5, 1e7):
+        for n in range(1, 7):
+            gaps = [rng.uniform(0.05, 1.0) for _ in range(n - 1)]
+            scale = 0.99 * PI / max(sum(gaps), 0.99 * PI)  # keep the span under pi
+            fan = [first]
+            for gap in gaps:
+                fan.append(fan[-1] + gap * scale)
+            fans.append(tuple(fan))
+        # One sector 4e-6 wide (and its antipode).
+        fans.append((first, first + 4e-6, first + 1.3))
+    return fans
+
+
+class TestSectorChangePoints:
+    """``montecarlo_area`` counts samples against the change points of
+    ``_sector_change_points``; its counts are exact only if classifying by
+    those change points agrees with the reference expression everywhere on
+    [-pi, pi], so this checks it where disagreement could hide: at every
+    change point and 4 ulp either side, at both ends and at both zeros."""
+
+    @pytest.mark.parametrize("base", change_point_fans())
+    def test_matches_reference_expression(self, base):
+        part = build_partition(ChordFan(base))
+        taus, sectors = sectorbalance.oracle._sector_change_points(part)
+        assert len(sectors) == len(taus) + 1
+        assert taus == sorted(taus)
+        assert all(-PI < tau <= PI for tau in taus)
+        ends = np.array([-PI, -0.0, 0.0, PI])
+        near = [ends]
+        for tau in taus:
+            up = down = np.float64(tau)
+            near.append([tau])
+            for _ in range(4):
+                up = np.nextafter(up, np.inf)
+                down = np.nextafter(down, -np.inf)
+                near.append([up, down])
+        t = np.concatenate(near + [np.random.default_rng(7).uniform(-PI, PI, 20_000)])
+        t = t[(t >= -PI) & (t <= PI)]
+        got = np.array(sectors)[np.searchsorted(taus, t, side="right")]
+        np.testing.assert_array_equal(got, reference_sectors(part, t))
+        # No sector of these fans is empty, so each has a piece.
+        assert set(sectors) == set(range(len(part.boundaries)))

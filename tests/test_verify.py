@@ -11,6 +11,24 @@ class TestPizzaCancellation:
         assert check.passed, check.detail
         assert "<= 4.85 (Bonferroni over 800 sectors" in check.detail
 
+    @pytest.mark.parametrize("seed, want", [
+        (2**64 - 1, [2**64 - 1, 0, 1, 2]),
+        (2**64 - 4, [2**64 - 4, 2**64 - 3, 2**64 - 2, 2**64 - 1]),
+        (5, [5, 6, 7, 8]),
+    ])
+    def test_monte_carlo_seeds_wrap_at_64_bits(self, monkeypatch, seed, want):
+        real = verify.montecarlo_area
+        seeds = []
+
+        def recording(cfg, part, spec):
+            seeds.append(spec.seed)
+            return real(cfg, part, spec)
+
+        monkeypatch.setattr(verify, "montecarlo_area", recording)
+        check = check_pizza_cancellation(seed, 4, 20_000)
+        assert seeds == want
+        assert check.passed, check.detail
+
     def test_one_sector_six_standard_errors_off_fails(self, monkeypatch):
         real = verify.montecarlo_area
         calls = []
