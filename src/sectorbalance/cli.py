@@ -45,6 +45,7 @@ from .oracle import (
 from .render import render_svg
 from .serialize import ConfigError, Report, read_config, write_report
 from .solver import (
+    DEFAULT_ROOT_TOL,
     SolveRequest,
     SolverError,
     SweepAxis,
@@ -193,10 +194,8 @@ def _cmd_areas(args) -> int:
         extras = ({"stderr": se} for _, se in estimates)
     elif mode == "quadrature":
         report = quadrature_report(cfg, part, _quad_spec(cfg, tol))
-    elif mode == "closed":
+    else:  # closed
         report = area_report(cfg, part)
-    else:
-        raise ConfigError(f"areas does not support mode {mode!r}")
 
     sectors = zip(part.sectors, report.sector_areas, extras)
     payload["sectors"] = [
@@ -247,8 +246,8 @@ def _cmd_residual(args) -> int:
 
 def _cmd_solve(args) -> int:
     cfg, chords, _, tol, _ = _resolved_inputs(args)
-    case_tag = _case_tag(args)
-    tol = tol if tol is not None else 1e-11
+    case_tag = resolve_case(_case_tag(args), len(chords))
+    tol = tol if tol is not None else DEFAULT_ROOT_TOL
     scale = _DEG if args.degrees else 1.0
 
     if args.free_index is not None:
@@ -262,7 +261,6 @@ def _cmd_solve(args) -> int:
                 raise ConfigError(f"--bracket expects lo,hi, got {args.bracket!r}")
             bracket = (ends[0] * scale, ends[1] * scale)
         else:
-            resolve_case(case_tag, len(chords))  # a tag/size mismatch is a domain error first
             bracket = free_angle_brackets(cfg, fixed, k - 1)[0]  # the lowest root
         outcome = solve_free_angle(
             SolveRequest(cfg=cfg, fixed_angles=fixed, free_index=k - 1,
@@ -270,16 +268,12 @@ def _cmd_solve(args) -> int:
         )
         free_name = f"theta{k}"
     else:
-        if case_tag not in (CASE_FOUR, CASE_EIGHT):
-            raise ConfigError(
-                "pole-radius solve needs --case four or eight; pass --free-index to solve for an angle"
-            )
         outcome = solve_pole_radius(chords, cfg.theta0, cfg.a, case_tag, tol)
         free_name, bracket = "r0", None
 
     payload = {
         "command": "solve",
-        "case": resolve_case(case_tag, len(chords)),
+        "case": case_tag,
         "free_parameter": free_name,
         "bracket": list(bracket) if bracket else None,
         **_circle_fields(cfg, chords),
@@ -333,15 +327,13 @@ def _cmd_verify(args) -> int:
     trials = args.trials
     if trials < 1:
         raise ConfigError(f"--trials must be at least 1, got {trials}")
-    seed = args.seed if args.seed is not None else 0
-    if not 0 <= seed < 2**64:
-        raise DomainError(f"seed must fit an unsigned 64-bit integer, got {seed}")
+    spec = MonteCarloSpec(samples=args.samples, seed=args.seed if args.seed is not None else 0)
     results = run_checks(
-        seed=seed,
+        seed=spec.seed,
         trials=trials,
         poles=max(4, trials // 10),
         solver_trials=max(5, trials // 20),
-        mc_samples=args.samples,
+        mc_samples=spec.samples,
     )
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -387,12 +379,13 @@ def build_parser() -> _Parser:
     _add_output_opts(p_solve)
     p_solve.add_argument("--case", choices=tuple(_CLI_CASES))
     p_solve.add_argument("--free-index", type=int, dest="free_index",
-                         help="1-based chord angle to free; omit to solve for r0; "
-                              "reports the lowest root unless --bracket is given")
+                         help="1-based chord angle to free; reports the lowest root unless "
+                              "--bracket is given; omit to solve for r0, which needs an "
+                              "even chord count")
     p_solve.add_argument("--bracket",
                          help="lo,hi bracket for the freed angle (default: the lowest "
                               "of the exact brackets of the feasible interval)")
-    p_solve.add_argument("--tol", type=float, help="root tolerance (default 1e-11)")
+    p_solve.add_argument("--tol", type=float, help=f"root tolerance (default {DEFAULT_ROOT_TOL:g})")
     p_solve.set_defaults(handler=_cmd_solve)
 
     p_sweep = sub.add_parser("sweep", help="residual grid over r0/theta0/theta<k> axes")

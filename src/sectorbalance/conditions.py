@@ -82,14 +82,6 @@ class EightSectorCheck(NamedTuple):
     tan_form: Optional[float]
 
 
-def _sin2(cfg: CircleConfig, theta: float) -> float:
-    try:
-        return math.sin(2.0 * (theta - cfg.theta0))
-    except ValueError:
-        _check_phases(cfg.theta0, (theta,), 2.0)
-        raise
-
-
 def _closed_form(
     theta0: float, rho: float, angles: tuple[float, ...]
 ) -> tuple[float, float] | float:
@@ -195,9 +187,8 @@ def residual_six(
     elif variant == VARIANT_AS_PRINTED:
         if cfg.r0 == 0.0:
             raise DomainError("as-printed six-sector residual is undefined at r0 = 0")
-        value = 0.5 * cfg.r0 * cfg.r0 * (_sin2(cfg, t3) - _sin2(cfg, t1)) + (
-            cfg.a / cfg.r0
-        ) ** 2 * bracket
+        sines = _closed_form(cfg.theta0, 0.0, (t1, t3))[0]
+        value = 0.5 * cfg.r0 * cfg.r0 * sines + (cfg.a / cfg.r0) ** 2 * bracket
     else:
         raise DomainError(f"unknown residual variant {variant!r}")
     return ResidualReport(CASE_SIX, variant, value, cfg, angles)
@@ -315,6 +306,6 @@ def special_case_six(
     fans balance with it false).
     """
     check_fan((t1, t2, t3))
-    sine_ok = abs(_sin2(cfg, t3) - _sin2(cfg, t1)) <= tol
+    sine_ok = abs(_closed_form(cfg.theta0, 0.0, (t1, t3))[0]) <= tol
     bracket_ok = abs(_closed_form(cfg.theta0, cfg.r0 / cfg.a, (t1, t2, t3))) <= tol
     return SixSectorCheck(sine_ok, bracket_ok)

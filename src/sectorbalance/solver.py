@@ -2,7 +2,7 @@
 
 Covers three ways of hunting balanced configurations: bracketed root
 refinement in one free boundary angle, analytic inversion for the pole
-radius in the four- and eight-sector cases, and dense residual grids for
+radius of any fan with an even chord count, and dense residual grids for
 downstream contour extraction.  Every reported root is cross-checked
 against the quadrature oracle before it is returned.
 
@@ -23,16 +23,12 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .conditions import (
-    CASE_EIGHT,
-    CASE_FOUR,
-    _closed_form,
-    _residual_value,
-    case_residual,
-    resolve_case,
-)
+from .conditions import _closed_form, _residual_value, case_residual, resolve_case
 from .geometry import CircleConfig, DomainError, check_fan
 from .oracle import quadrature_residual
+
+# Default ``tol`` of the free-angle and pole-radius solves.
+DEFAULT_ROOT_TOL = 1e-11
 
 # Sine sums smaller than this leave the residual essentially independent of
 # the pole radius, so no finite inversion is meaningful.
@@ -59,8 +55,7 @@ class SolveRequest:
     fixed_angles: tuple[float, ...]
     free_index: int
     bracket: tuple[float, float]
-    tol: float = 1e-11
-    max_iter: int = 200
+    tol: float = DEFAULT_ROOT_TOL
     case_tag: str | None = None
 
     def __post_init__(self) -> None:
@@ -74,8 +69,6 @@ class SolveRequest:
             raise DomainError(
                 f"free_index {self.free_index} out of range for {len(self.fixed_angles)} fixed angles"
             )
-        if self.max_iter < 1:
-            raise DomainError("max_iter must be at least 1")
 
     def angles_with(self, value: float) -> tuple[float, ...]:
         k = self.free_index
@@ -319,9 +312,7 @@ def solve_free_angle(req: SolveRequest) -> SolveOutcome:
         return _residual_value(cfg.a, cfg.r0, cfg.theta0, req.angles_with(value))
 
     a2 = cfg.a * cfg.a
-    root, froot, iterations = find_root(
-        f, lo, hi, xtol=req.tol, ftol=req.tol * a2, max_iter=req.max_iter
-    )
+    root, froot, iterations = find_root(f, lo, hi, xtol=req.tol, ftol=req.tol * a2)
     oracle = quadrature_residual(req.cfg, req.angles_with(root))
     if abs(oracle) > 100.0 * req.tol * a2:
         raise SolverError(
@@ -334,24 +325,27 @@ def solve_pole_radius(
     angles: Sequence[float],
     theta0: float,
     a: float,
-    case_tag: str,
-    tol: float = 1e-11,
+    case_tag: str | None = None,
+    tol: float = DEFAULT_ROOT_TOL,
 ) -> SolveOutcome:
     """Pole radius that balances a fixed fan, by analytic inversion.
 
-    Writing the residual as ``(r0^2/2)*K + a^2*L`` with ``K`` the bracketed
-    sine sum and ``L`` the angular deficit (odd widths minus pi/2), the root
-    is ``r0 = a*sqrt(-2L/K)`` whenever ``0 <= -2L/K < 1``.  Degenerate sine
-    sums (condition independent of r0) and ratios outside the unit interval
-    are reported as solver failures.
+    For any even chord count the residual is ``(r0^2/2)*K + a^2*L``, with
+    ``K`` the alternating sine sum and ``L`` the angular deficit (odd widths
+    minus pi/2), so the root is ``r0 = a*sqrt(-2L/K)`` whenever
+    ``0 <= -2L/K < 1``.  ``case_tag`` is checked against the chord count, or
+    inferred from it when None.  An odd chord count is a domain error: its
+    residual is not of this form.  Degenerate sine sums (condition
+    independent of r0) and ratios outside the unit interval are reported as
+    solver failures.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol must be positive, got {tol!r}")
     base = tuple(float(t) for t in angles)
-    if case_tag not in (CASE_FOUR, CASE_EIGHT):
-        raise DomainError(f"pole-radius inversion supports cases four and eight, not {case_tag!r}")
-    resolve_case(case_tag, len(base))
+    case_tag = resolve_case(case_tag, len(base))
     check_fan(base)
+    if len(base) % 2:
+        raise DomainError(f"pole-radius inversion needs an even chord count, got {len(base)}")
     K, L = _closed_form(theta0, 0.0, base)  # even n: K and L do not depend on r0
     if abs(K) <= _DEGENERATE_K:
         raise SolverError(

@@ -165,7 +165,12 @@ def check_pizza_cancellation(seed: int, poles: int, mc_samples: int) -> CheckRes
         closed = area_report(cfg, part).sector_areas
         spec = MonteCarloSpec(samples=mc_samples, seed=(seed + i) % 2**64)
         estimates = montecarlo_area(cfg, part, spec)
-        for (est, se), ref in zip(estimates, closed):
+        disk = PI * a2
+        for (est, _), ref in zip(estimates, closed):
+            # The standard error of the reference area, which is never 0, not
+            # the estimate's, which is 0 when a sector gets no sample or all.
+            p = ref / disk
+            se = disk * math.sqrt(p * (1.0 - p) / mc_samples)
             worst_z = max(worst_z, abs(est - ref) / se)
             z_scores += 1
     # Bonferroni: each two-sided |z| test runs at PIZZA_FAMILY_ALPHA / z_scores.
@@ -266,9 +271,7 @@ def check_solver_soundness(seed: int, trials: int) -> CheckResult:
         def g(r0: float) -> float:
             return residual_four(CircleConfig(a=a, r0=r0, theta0=theta0), t1, t2).residual
 
-        numeric, _, _ = find_root(
-            g, 0.0, (1.0 - 1e-9) * a, xtol=1e-13, ftol=1e-15 * a * a, max_iter=200
-        )
+        numeric, _, _ = find_root(g, 0.0, (1.0 - 1e-9) * a, xtol=1e-13, ftol=1e-15 * a * a)
         worst_gap = max(worst_gap, abs(analytic.root - numeric))
 
     passed = (

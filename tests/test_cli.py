@@ -7,7 +7,7 @@ import types
 
 import pytest
 
-from sectorbalance import verify
+from sectorbalance import solver, verify
 from sectorbalance.cli import run_cli
 
 PI = math.pi
@@ -81,6 +81,11 @@ class TestAreas:
         code, _, err = run(capsys, ["areas", "--a", "1"])
         assert code == 1
         assert "chords" in err
+
+    def test_missing_radius_is_usage_error(self, capsys):
+        code, out, err = run(capsys, ["areas", "--chords", "0,1"])
+        assert (code, out) == (1, "")
+        assert "missing circle radius" in err
 
     def test_unreachable_quadrature_tolerance_exits_3(self, capsys):
         fans = [
@@ -263,9 +268,46 @@ class TestSolve:
         assert "sign change" in err
 
     def test_pole_radius_needs_binary_case(self, capsys):
-        code, _, _ = run(capsys, ["solve", "--case", "six", "--a", "1", "--theta0", "0",
-                                  "--chords=-0.5,0,0.5"])
-        assert code == 1
+        code, _, err = run(capsys, ["solve", "--case", "six", "--a", "1", "--theta0", "0",
+                                    "--chords=-0.5,0,0.5"])
+        assert code == 2
+        assert "pole-radius inversion needs an even chord count, got 3" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_pole_radius_case_is_inferred(self, capsys, fmt):
+        assert README_POLE_RADIUS[1:3] == ["--case", "four"]
+        _, pinned, _ = run(capsys, [*README_POLE_RADIUS, "--format", fmt])
+        code, out, _ = run(capsys, ["solve", *README_POLE_RADIUS[3:], "--format", fmt])
+        assert code == 0
+        assert out == pinned
+
+    @pytest.mark.parametrize("case", [None, "general"])
+    def test_pole_radius_of_odd_fan_is_domain_error(self, capsys, case):
+        flags = [] if case is None else ["--case", case]
+        code, out, err = run(capsys, ["solve", *flags, "--a", "1", "--chords=-0.5,0,0.5"])
+        assert (code, out) == (2, "")
+        assert "pole-radius inversion needs an even chord count, got 3" in err
+
+    @pytest.mark.parametrize("case", [None, "general"])
+    def test_pole_radius_of_six_chords(self, capsys, case):
+        flags = [] if case is None else ["--case", case]
+        code, out, _ = run(capsys, ["solve", *flags, "--a", "1", "--theta0", "0",
+                                    "--chords=-1,-0.5,-0.2,0.2,0.5,1"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["case"] == "general-n"
+        assert doc["free_parameter"] == "r0"
+        assert 0.0 < doc["root"] < 1.0
+        assert abs(doc["residual_at_root"]) <= 1e-11
+
+    @pytest.mark.parametrize("extra", [[], ["--free-index", "2"]], ids=["r0", "angle"])
+    def test_quadrature_disagreement_is_solver_error(self, capsys, monkeypatch, extra):
+        monkeypatch.setattr(solver, "quadrature_residual", lambda cfg, angles: 1.0)
+        code, out, err = run(capsys, ["solve", "--a", "1", "--theta0", "0",
+                                      "--chords=-0.7353981633974483,0.7353981633974483",
+                                      *extra])
+        assert (code, out) == (3, "")
+        assert "solver error" in err
 
     def test_free_index_out_of_range(self, capsys):
         code, _, _ = run(capsys, ["solve", "--a", "1", "--chords", "0,1",
@@ -354,6 +396,22 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert "hi - lo overflows" in err
 
+    def test_degrees_convert_theta_axes(self, capsys):
+        # Each degree value is scaled exactly as the CLI scales it, so the
+        # radian run gets bit-identical angles.
+        deg = PI / 180.0
+        grids = ["--grid", "r0=0:0.5:3"]
+        radians = ["sweep", "--a", "1", "--r0", "0.3", "--theta0", repr(10 * deg),
+                   "--chords", f"0,{60 * deg!r}", *grids,
+                   "--grid", f"theta2={50 * deg!r}:{120 * deg!r}:5"]
+        degrees = ["sweep", "--degrees", "--a", "1", "--r0", "0.3", "--theta0", "10",
+                   "--chords", "0,60", *grids, "--grid", "theta2=50:120:5"]
+        for fmt in ("json", "csv"):
+            _, expected, _ = run(capsys, [*radians, "--format", fmt])
+            code, out, _ = run(capsys, [*degrees, "--format", fmt])
+            assert code == 0
+            assert out == expected
+
 
 # (chord count, --case flag, expected "case" field)
 CASE_FIELDS = [
@@ -405,6 +463,14 @@ class TestConfigFile:
         code, out, _ = run(capsys, ["residual", "--config", str(path)])
         assert code == 0
         assert abs(json.loads(out)["residual"]) <= 1e-10
+
+    def test_residual_rejects_montecarlo_mode(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text('{"a": 1, "r0": 0.6, "theta0": 0.3, "chords": [0, 1.2], '
+                        '"mode": "montecarlo"}', encoding="utf-8")
+        code, out, err = run(capsys, ["residual", "--config", str(path)])
+        assert (code, out) == (1, "")
+        assert "residual does not support mode 'montecarlo'" in err
 
     def test_flags_override_config(self, capsys, tmp_path):
         path = tmp_path / "run.json"
@@ -523,6 +589,18 @@ class TestVerifySubcommand:
         assert doc["passed"] is True
         assert len(doc["checks"]) == 9
         assert err.count("PASS") == 9
+
+    def test_hundred_samples_give_a_mapped_exit_code(self, capsys):
+        # A sector that gets no sample, or every sample, once divided by zero.
+        code, out, _ = run(capsys, ["verify", "--trials", "2", "--samples", "100"])
+        assert code in (0, 3)
+        assert len(json.loads(out)["checks"]) == 9
+
+    def test_samples_below_one_fail_before_any_check(self, capsys):
+        code, out, err = run(capsys, ["verify", "--trials", "2", "--samples", "0"])
+        assert (code, out) == (2, "")
+        assert "samples must be at least 1, got 0" in err
+        assert "PASS" not in err
 
     def test_csv_listing(self, capsys):
         code, out, _ = run(capsys, ["verify", "--trials", "20", "--samples", "10000",

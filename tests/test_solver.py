@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -29,7 +30,7 @@ from sectorbalance import (
 )
 from sectorbalance import solver
 from sectorbalance.conditions import _residual_value
-from sectorbalance.verify import random_circle
+from sectorbalance.verify import random_circle, random_fan
 
 PI = math.pi
 
@@ -330,6 +331,15 @@ class TestSolveFreeAngle:
                              bracket=(1.3 + 1e-9, PI - 1e-9), tol=1e-300)
             )
 
+    def test_quadrature_disagreement_is_solver_error(self, monkeypatch):
+        monkeypatch.setattr(solver, "quadrature_residual", lambda cfg, angles: 1.0)
+        with pytest.raises(SolverError, match="quadrature cross-check"):
+            solve_free_angle(SolveRequest(cfg=CircleConfig(1.0, 0.3, 0.1), fixed_angles=(0.0,),
+                                          free_index=1, bracket=(1.2, 2.2)))
+
+    def test_iteration_cap_belongs_to_find_root(self):
+        assert "max_iter" not in {field.name for field in dataclasses.fields(SolveRequest)}
+
     def test_request_validation(self):
         cfg = CircleConfig(1.0, 0.0, 0.0)
         with pytest.raises(DomainError):
@@ -406,6 +416,45 @@ class TestSolvePoleRadius:
         # misleading solver error about the inverted radius.
         with pytest.raises(DomainError, match="^tol must be positive"):
             solve_pole_radius((-0.6, 0.6), 0.0, 1.0, CASE_FOUR, tol)
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_every_even_count_matches_numeric_root(self, n):
+        rng = random.Random(f"pole-radius:{n}")
+        roots = 0
+        for _ in range(200):
+            cfg = random_circle(rng)
+            angles = random_fan(rng, n).base_angles
+            a, theta0 = cfg.a, cfg.theta0
+            try:
+                analytic = solve_pole_radius(angles, theta0, a)
+            except SolverError as exc:
+                assert "no interior solution" in str(exc)
+                continue
+
+            def f(r0):
+                return case_residual(CircleConfig(a, r0, theta0), angles).residual
+
+            numeric, _, _ = find_root(f, 0.0, (1.0 - 1e-9) * a, xtol=1e-13,
+                                      ftol=1e-15 * a * a)
+            assert abs(analytic.root - numeric) <= 1e-13 * a
+            roots += 1
+        assert roots >= 20  # a draw that inverts nothing would prove nothing
+
+    def test_case_is_inferred(self):
+        width = PI / 2 - 0.1
+        angles = (-width / 2, width / 2)
+        assert solve_pole_radius(angles, 0.0, 1.0) == solve_pole_radius(angles, 0.0, 1.0,
+                                                                          CASE_FOUR)
+
+    @pytest.mark.parametrize("case_tag", [None, CASE_GENERAL, CASE_SIX])
+    def test_odd_chord_count_is_domain_error(self, case_tag):
+        with pytest.raises(DomainError, match="needs an even chord count, got 3"):
+            solve_pole_radius((-0.5, 0.0, 0.5), 0.0, 1.0, case_tag)
+
+    def test_quadrature_disagreement_is_solver_error(self, monkeypatch):
+        monkeypatch.setattr(solver, "quadrature_residual", lambda cfg, angles: 1.0)
+        with pytest.raises(SolverError, match="fails the residual check"):
+            solve_pole_radius((-0.6, 0.6), 0.0, 1.0, CASE_FOUR)
 
 
 class TestSweepGrid:

@@ -49,6 +49,14 @@ class TestPizzaCancellation:
         assert "<= 4.85" in check.detail
         assert not check.passed, check.detail
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_hundred_samples_return_a_result(self, seed):
+        # With 100 samples a sector can get no sample or every sample, so its
+        # estimate's standard error is 0; the z-score must not divide by it.
+        check = check_pizza_cancellation(seed, 4, 100)
+        assert check.name == "pizza_cancellation"
+        assert "4 poles, 100 samples each" in check.detail
+
 
 class TestSolverSoundness:
     def test_every_trial_is_bracketed_and_solved(self):
