@@ -43,7 +43,7 @@ from .oracle import (
     quadrature_residual,
 )
 from .render import render_svg
-from .serialize import ConfigError, Report, read_config, write_report
+from .serialize import ConfigError, Report, RunConfig, _config_fields, write_report
 from .solver import (
     DEFAULT_ROOT_TOL,
     SolveRequest,
@@ -107,60 +107,49 @@ def _add_output_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
-def _resolved_inputs(args) -> tuple[CircleConfig, tuple[float, ...], str, float | None, int]:
-    """Merge config file and flags into (circle, chords, mode, tol, seed)."""
-    a = r0 = theta0 = None
-    chords: tuple[float, ...] | None = None
-    mode = "closed"
-    tol = None
-    seed = 0
+def _resolved_inputs(args) -> RunConfig:
+    """Merge defaults, the config file's fields and the flags given, in that
+    order, into one run request; only the merged request is validated."""
+    fields = {"a": None, "r0": 0.0, "theta0": 0.0, "chords": None,
+              "mode": "closed", "tol": None, "seed": 0}
     if args.config:
         try:
             text = Path(args.config).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        rc = read_config(text)
-        a, r0, theta0 = rc.circle.a, rc.circle.r0, rc.circle.theta0
-        chords, mode, tol, seed = rc.chords, rc.mode, rc.tol, rc.seed
+        fields.update(_config_fields(text))
 
     scale = _DEG if args.degrees else 1.0
-    if args.a is not None:
-        a = args.a
-    if args.r0 is not None:
-        r0 = args.r0
+    flags = {name: getattr(args, name, None) for name in fields}  # each flag's dest is a field
     if args.theta0 is not None:
-        theta0 = args.theta0 * scale
+        flags["theta0"] = args.theta0 * scale
     if args.chords is not None:
-        chords = tuple(t * scale for t in _parse_floats(args.chords, "--chords"))
-    if getattr(args, "mode", None) is not None:
-        mode = args.mode
-    if getattr(args, "tol", None) is not None:
-        tol = args.tol
-        if not (math.isfinite(tol) and tol > 0.0):  # RunConfig's rule for the field
-            raise ConfigError(f"--tol must be positive, got {tol!r}")
-    if getattr(args, "seed", None) is not None:
-        seed = args.seed
+        flags["chords"] = tuple(t * scale for t in _parse_floats(args.chords, "--chords"))
+    fields.update((name, value) for name, value in flags.items() if value is not None)
 
-    if a is None:
+    if fields["a"] is None:
         raise ConfigError("missing circle radius: pass --a or --config")
-    if chords is None:
+    if fields["chords"] is None:
         raise ConfigError("missing chord angles: pass --chords or --config")
-    circle = CircleConfig(a=a, r0=r0 if r0 is not None else 0.0,
-                          theta0=theta0 if theta0 is not None else 0.0)
-    return circle, chords, mode, tol, seed
+    return RunConfig(CircleConfig(fields["a"], fields["r0"], fields["theta0"]),
+                     fields["chords"], fields["mode"], fields["tol"], fields["seed"])
 
 
-def _quad_spec(cfg: CircleConfig, tol: float | None) -> QuadratureSpec:
-    return default_quadrature_spec(cfg) if tol is None else QuadratureSpec(abs_tol=tol)
+def _quad_spec(rc: RunConfig) -> QuadratureSpec:
+    return default_quadrature_spec(rc.circle) if rc.tol is None else QuadratureSpec(abs_tol=rc.tol)
 
 
-def _circle_fields(cfg: CircleConfig, chords: tuple[float, ...]) -> dict:
-    return {"a": cfg.a, "r0": cfg.r0, "theta0": cfg.theta0, "chords": list(chords)}
+def _circle_fields(rc: RunConfig) -> dict:
+    cfg = rc.circle
+    return {"a": cfg.a, "r0": cfg.r0, "theta0": cfg.theta0, "chords": list(rc.chords)}
 
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8", newline="")
+        try:
+            Path(out_path).write_text(text, encoding="utf-8", newline="")
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out file: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -180,22 +169,22 @@ def _case_tag(args) -> str | None:
 
 
 def _cmd_areas(args) -> int:
-    cfg, chords, mode, tol, seed = _resolved_inputs(args)
-    part = build_partition(ChordFan(chords))
+    rc = _resolved_inputs(args)
+    part = build_partition(ChordFan(rc.chords))
 
-    payload = {"command": "areas", "mode": mode, **_circle_fields(cfg, chords)}
+    payload = {"command": "areas", "mode": rc.mode, **_circle_fields(rc)}
     extras = itertools.repeat({})
-    if mode == "montecarlo":
-        spec = MonteCarloSpec(samples=args.samples, seed=seed)
-        estimates = montecarlo_area(cfg, part, spec)
+    if rc.mode == "montecarlo":
+        spec = MonteCarloSpec(samples=args.samples, seed=rc.seed)
+        estimates = montecarlo_area(rc.circle, part, spec)
         payload["samples"] = spec.samples
         payload["seed"] = spec.seed
         report = AreaReport.from_areas(est for est, _ in estimates)
         extras = ({"stderr": se} for _, se in estimates)
-    elif mode == "quadrature":
-        report = quadrature_report(cfg, part, _quad_spec(cfg, tol))
+    elif rc.mode == "quadrature":
+        report = quadrature_report(rc.circle, part, _quad_spec(rc))
     else:  # closed
-        report = area_report(cfg, part)
+        report = area_report(rc.circle, part)
 
     sectors = zip(part.sectors, report.sector_areas, extras)
     payload["sectors"] = [
@@ -213,7 +202,8 @@ def _cmd_areas(args) -> int:
 
 
 def _cmd_residual(args) -> int:
-    cfg, chords, mode, tol, _ = _resolved_inputs(args)
+    rc = _resolved_inputs(args)
+    cfg, chords, mode = rc.circle, rc.chords, rc.mode
     closed = case_residual(cfg, chords, _case_tag(args))
     if mode not in ("closed", "quadrature"):
         raise ConfigError(f"residual does not support mode {mode!r}")
@@ -221,7 +211,7 @@ def _cmd_residual(args) -> int:
     # the quadrature's, so they are raised first.
     printed = (residual_six(cfg, *chords, variant=VARIANT_AS_PRINTED)
                if args.audit and closed.case_tag == CASE_SIX else None)
-    quad = (quadrature_residual(cfg, chords, _quad_spec(cfg, tol))
+    quad = (quadrature_residual(cfg, chords, _quad_spec(rc))
             if mode == "quadrature" or args.audit else None)
     value = quad if mode == "quadrature" else closed.residual
 
@@ -230,7 +220,7 @@ def _cmd_residual(args) -> int:
         "case": closed.case_tag,
         "variant": closed.variant,
         "mode": mode,
-        **_circle_fields(cfg, chords),
+        **_circle_fields(rc),
         "residual": value,
     }
     rows = [(closed.case_tag, closed.variant, value)]
@@ -245,9 +235,10 @@ def _cmd_residual(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    cfg, chords, _, tol, _ = _resolved_inputs(args)
+    rc = _resolved_inputs(args)
+    cfg, chords = rc.circle, rc.chords
     case_tag = resolve_case(_case_tag(args), len(chords))
-    tol = tol if tol is not None else DEFAULT_ROOT_TOL
+    tol = rc.tol if rc.tol is not None else DEFAULT_ROOT_TOL
     scale = _DEG if args.degrees else 1.0
 
     if args.free_index is not None:
@@ -276,7 +267,7 @@ def _cmd_solve(args) -> int:
         "case": case_tag,
         "free_parameter": free_name,
         "bracket": list(bracket) if bracket else None,
-        **_circle_fields(cfg, chords),
+        **_circle_fields(rc),
         "root": outcome.root,
         "residual_at_root": outcome.residual_at_root,
         "iterations": outcome.iterations,
@@ -289,7 +280,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg, chords, _, _, _ = _resolved_inputs(args)
+    rc = _resolved_inputs(args)
     case_tag = _case_tag(args)
     if not args.grid:
         raise ConfigError("sweep needs at least one --grid axis=lo:hi:n")
@@ -299,12 +290,12 @@ def _cmd_sweep(args) -> int:
         if args.degrees and ax.name.startswith("theta"):
             ax = SweepAxis(name=ax.name, lo=ax.lo * _DEG, hi=ax.hi * _DEG, count=ax.count)
         axes.append(ax)
-    grid = sweep_grid(cfg, chords, axes, case_tag)
+    grid = sweep_grid(rc.circle, rc.chords, axes, case_tag)
 
     payload = {
         "command": "sweep",
-        "case": resolve_case(case_tag, len(chords)),
-        **_circle_fields(cfg, chords),
+        "case": resolve_case(case_tag, len(rc.chords)),
+        **_circle_fields(rc),
         "axes": [{"name": ax.name, "lo": ax.lo, "hi": ax.hi, "count": ax.count}
                  for ax in grid.axes],
         "values": list(grid.values),
@@ -317,9 +308,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    cfg, chords, _, _, _ = _resolved_inputs(args)
-    part = build_partition(ChordFan(chords))
-    _emit(render_svg(cfg, part, area_report(cfg, part)), args.out)
+    rc = _resolved_inputs(args)
+    part = build_partition(ChordFan(rc.chords))
+    _emit(render_svg(rc.circle, part, area_report(rc.circle, part)), args.out)
     return 0
 
 

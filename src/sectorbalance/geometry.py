@@ -211,7 +211,8 @@ def _check_interval(theta_a: float, theta_b: float) -> float:
     delta = theta_b - theta_a
     if not delta > 0.0:
         raise DomainError(f"need theta_a < theta_b, got [{theta_a!r}, {theta_b!r}]")
-    slack = _TURN_SLACK * max(1.0, abs(theta_a), abs(theta_b))
+    # Only the rounding of forming the far end, as in theta_a + 2*pi.
+    slack = max(_TURN_SLACK, 0.5 * math.ulp(max(abs(theta_a), abs(theta_b))))
     if delta > TWO_PI + slack:
         raise DomainError(f"interval width {delta!r} exceeds a full turn")
     return delta

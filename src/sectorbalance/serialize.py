@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from .geometry import ChordFan, CircleConfig
+from .geometry import CircleConfig
 
 MODES = ("closed", "quadrature", "montecarlo")
 FORMATS = ("json", "csv")
@@ -26,7 +26,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A validated run request: circle, chords, and execution options."""
+    """A run request: circle, chords, and execution options.
+
+    ``chords`` is not checked as a fan, since a subcommand may evaluate
+    another one (``solve --free-index k`` ignores slot k, ``sweep`` moves
+    slots); each consumer checks the fan it evaluates.
+    """
 
     circle: CircleConfig
     chords: tuple[float, ...]
@@ -35,30 +40,26 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        ChordFan(self.chords)
         if self.mode not in MODES:
             raise ConfigError(f"field 'mode' must be one of {MODES}, got {self.mode!r}")
         if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ConfigError(f"field 'tol' must be positive, got {self.tol!r}")
 
-    @property
-    def fan(self) -> ChordFan:
-        return ChordFan(self.chords)
 
-
-def _as_number(doc: dict, field: str) -> float:
-    value = doc[field]
+def _as_number(value: Any, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field {field!r} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer too large for a double reads as 1e400 does
+        return math.inf if value > 0 else -math.inf
 
 
-def read_config(text: str) -> RunConfig:
-    """Parse and validate a JSON run configuration.
+def _config_fields(text: str) -> dict:
+    """Parse a JSON run configuration into its seven fields, defaults filled.
 
-    The document is one object with numeric fields ``a``, ``r0``, ``theta0``,
-    an array ``chords`` (radians), and optional ``mode``, ``tol``, ``seed``.
-    Violated constraints are reported with the offending field named.
+    Checks syntax, field names and types but no range, so a caller may
+    override fields before the request is built and validated.
     """
     try:
         doc = json.loads(text)
@@ -76,9 +77,6 @@ def read_config(text: str) -> RunConfig:
     chords = doc["chords"]
     if not isinstance(chords, list) or not chords:
         raise ConfigError("field 'chords' must be a non-empty array of numbers")
-    for value in chords:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"field 'chords' must contain only numbers, got {value!r}")
     seed = doc.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError(f"field 'seed' must be an integer, got {seed!r}")
@@ -86,20 +84,26 @@ def read_config(text: str) -> RunConfig:
     if not isinstance(mode, str):
         raise ConfigError(f"field 'mode' must be a string, got {mode!r}")
     tol = doc.get("tol")
-    if tol is not None:
-        if isinstance(tol, bool) or not isinstance(tol, (int, float)):
-            raise ConfigError(f"field 'tol' must be a number, got {tol!r}")
-        tol = float(tol)
-    circle = CircleConfig(
-        a=_as_number(doc, "a"), r0=_as_number(doc, "r0"), theta0=_as_number(doc, "theta0")
-    )
-    return RunConfig(
-        circle=circle,
-        chords=tuple(float(c) for c in chords),
-        mode=mode,
-        tol=tol,
-        seed=seed,
-    )
+    return {
+        **{field: _as_number(doc[field], field) for field in ("a", "r0", "theta0")},
+        "chords": tuple(_as_number(c, "chords") for c in chords),
+        "mode": mode,
+        "tol": None if tol is None else _as_number(tol, "tol"),
+        "seed": seed,
+    }
+
+
+def read_config(text: str) -> RunConfig:
+    """Parse and validate a JSON run configuration.
+
+    The document is one object with numeric fields ``a``, ``r0``, ``theta0``,
+    an array ``chords`` (radians), and optional ``mode``, ``tol``, ``seed``.
+    Violated constraints are reported with the offending field named; the
+    chords are not checked as a fan (see :class:`RunConfig`).
+    """
+    f = _config_fields(text)
+    return RunConfig(CircleConfig(f["a"], f["r0"], f["theta0"]),
+                     f["chords"], f["mode"], f["tol"], f["seed"])
 
 
 def write_config(config: RunConfig) -> str:

@@ -510,7 +510,70 @@ class TestConfigFile:
         path.write_text(json.dumps(fan), encoding="utf-8")
         code, out, err = run(capsys, [*argv, "--config", str(path), "--tol", tol])
         assert (code, out) == (1, "")
-        assert err == f"sectorbalance: error: --tol must be positive, got {float(tol)!r}\n"
+        assert err == f"sectorbalance: error: field 'tol' must be positive, got {float(tol)!r}\n"
+
+    # Each case: config document, flags shared by both forms, and the flags
+    # that replace the document in the flag form.
+    @pytest.mark.parametrize("doc, argv, fields", [
+        ({"a": 1, "r0": 1.5, "theta0": 0, "chords": [0, 1]}, ["areas", "--r0", "0.5"],
+         ["--a", "1", "--theta0", "0", "--chords", "0,1"]),
+        ({"a": 1, "r0": 0.5, "theta0": 0, "chords": [0, 3.2]}, ["areas", "--chords", "0,1"],
+         ["--a", "1", "--r0", "0.5", "--theta0", "0"]),
+        ({"a": 1, "r0": 0.5, "theta0": 0.2, "chords": [0, 0.8, 1.3, 99]},
+         ["solve", "--free-index", "4", "--bracket", "1.3000001,3.14"],
+         ["--a", "1", "--r0", "0.5", "--theta0", "0.2", "--chords", "0,0.8,1.3,99"]),
+        ({"a": 1, "r0": 0.5, "theta0": 0, "chords": [0, 0]},
+         ["sweep", "--grid", "theta2=0.5:1:2"],
+         ["--a", "1", "--r0", "0.5", "--theta0", "0", "--chords", "0,0"]),
+    ], ids=["flag-overrides-bad-r0", "flag-overrides-bad-chords", "solve-placeholder-slot",
+            "sweep-placeholder-slot"])
+    def test_config_and_flags_print_the_same_bytes(self, capsys, tmp_path, doc, argv, fields):
+        # Flags are applied over the config's fields before anything is
+        # checked, and slots a subcommand replaces may hold placeholders.
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        expected = run(capsys, [*argv, *fields])
+        assert expected[0] == 0
+        assert run(capsys, [*argv, "--config", str(path)]) == expected
+
+    @pytest.mark.parametrize("argv", [["areas"], ["residual"], ["render"], ["solve"]])
+    def test_config_fan_evaluated_whole_is_checked(self, capsys, tmp_path, argv):
+        path = tmp_path / "run.json"
+        path.write_text('{"a": 1, "r0": 0.5, "theta0": 0, "chords": [0, 3.2]}',
+                        encoding="utf-8")
+        code, out, err = run(capsys, [*argv, "--config", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("sectorbalance: domain error: chord angles")
+
+    @pytest.mark.parametrize("field, template, expected", [
+        ("a", "{}", 2), ("a", "-{}", 2), ("r0", "{}", 2), ("theta0", "-{}", 2),
+        ("chords", "[0, {}]", 2), ("tol", "{}", 1),
+    ], ids=["a", "minus-a", "r0", "minus-theta0", "chords", "tol"])
+    def test_oversized_integer_reads_as_infinity(self, capsys, tmp_path, field, template,
+                                                 expected):
+        # A 401-digit integer, too large for a double, reads as 1e400 does.
+        doc = {"a": "1", "r0": "0.5", "theta0": "0", "chords": "[0, 1]",
+               field: template.format("1" + "0" * 400)}
+        path = tmp_path / "run.json"
+        path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in doc.items()) + "}",
+                        encoding="utf-8")
+        code, out, err = run(capsys, ["areas", "--config", str(path)])
+        assert (code, out) == (expected, "")
+        assert err.count("\n") == 1 and "inf" in err
+
+
+class TestOutFile:
+    @pytest.mark.parametrize("argv", [
+        ["areas", "--a", "1", "--chords", "0,1"],
+        ["render", "--a", "1", "--chords", "0,1"],
+    ], ids=["areas", "render"])
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, argv, target):
+        out_path = tmp_path / "missing" / "x.out" if target == "missing-dir" else tmp_path
+        code, out, err = run(capsys, [*argv, "--out", str(out_path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("sectorbalance: error: cannot write --out file: ")
+        assert err.count("\n") == 1
 
 
 class TestDeterminism:

@@ -115,6 +115,16 @@ class TestSectorAreaClosed:
         with pytest.raises(DomainError):
             sector_area_closed(cfg, lo, hi)
 
+    def test_large_interval_wider_than_a_turn_is_rejected(self):
+        # The full-turn slack covers only the rounding of the far end, not
+        # 1e-12 of the angles' size (which let this through with area 8 > pi).
+        with pytest.raises(DomainError, match="exceeds a full turn"):
+            sector_area_closed(CircleConfig(1.0, 0.0, 0.0), 1e17, 1e17 + 16)
+
+    @pytest.mark.parametrize("theta", [1e3, -1e9, 3e15])
+    def test_full_turn_formed_at_large_angles_is_accepted(self, theta):
+        sector_area_closed(CircleConfig(1.0, 0.0, 0.0), theta, theta + 2.0 * PI)
+
     @given(circles(), st.floats(-6.0, 6.0))
     def test_full_turn_is_disk_area(self, cfg, theta):
         area = sector_area_closed(cfg, theta, theta + 2.0 * PI)
@@ -195,9 +205,8 @@ class TestAreaReport:
         cfg = CircleConfig(1.0, 0.5, 1e308)
         with pytest.raises(DomainError, match="overflows"):
             area_report(cfg, build_partition(ChordFan((0.0, 1.0))))
-        # Here t - theta0 itself overflows, inside substituted_angle; the
-        # interval check scales its slack with |t|, so it lets this one through.
-        with pytest.raises(DomainError, match="overflows"):
+        # Wider than a turn by far more than the rounding of its far end.
+        with pytest.raises(DomainError, match="exceeds a full turn"):
             sector_area_closed(CircleConfig(1.0, 0.5, -1e308), 1e308, 1e308 + 1e293)
 
     def test_centered_quarters(self):

@@ -6,7 +6,6 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from sectorbalance import (
-    ChordFan,
     CircleConfig,
     ConfigError,
     DomainError,
@@ -16,6 +15,7 @@ from sectorbalance import (
     write_config,
     write_report,
 )
+from sectorbalance.cli import run_cli
 from sectorbalance.serialize import format_number, json_text
 
 PI = math.pi
@@ -91,9 +91,15 @@ class TestReadConfig:
         assert rc.tol == 1e-10
         assert rc.seed == 7
 
-    def test_rejects_wide_fan_as_domain_error(self):
-        with pytest.raises(DomainError):
-            read_config('{"a": 1, "r0": 0, "theta0": 0, "chords": [0, 3.2]}')
+    def test_rejects_wide_fan_as_domain_error(self, tmp_path, capsys):
+        # read_config keeps the chords; the command that evaluates them as a
+        # fan rejects them.
+        text = '{"a": 1, "r0": 0, "theta0": 0, "chords": [0, 3.2]}'
+        assert read_config(text).chords == (0.0, 3.2)
+        path = tmp_path / "run.json"
+        path.write_text(text, encoding="utf-8")
+        assert run_cli(["areas", "--config", str(path)]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_rejects_pole_outside_as_domain_error(self):
         with pytest.raises(DomainError):
@@ -152,14 +158,6 @@ class TestWriteReport:
 
 
 class TestRunConfigValidation:
-    def test_fan_invariants_enforced(self):
-        with pytest.raises(DomainError):
-            RunConfig(circle=CircleConfig(1.0, 0.0, 0.0), chords=(1.0, 0.5))
-
     def test_mode_checked(self):
         with pytest.raises(ConfigError):
             RunConfig(circle=CircleConfig(1.0, 0.0, 0.0), chords=(0.0,), mode="magic")
-
-    def test_fan_property(self):
-        rc = RunConfig(circle=CircleConfig(1.0, 0.0, 0.0), chords=(0.0, 1.0))
-        assert rc.fan == ChordFan((0.0, 1.0))
