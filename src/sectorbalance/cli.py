@@ -12,6 +12,7 @@ import argparse
 import itertools
 import math
 import sys
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from .conditions import (
@@ -46,6 +47,7 @@ from .render import render_svg
 from .serialize import ConfigError, Report, RunConfig, _config_fields, write_report
 from .solver import (
     DEFAULT_ROOT_TOL,
+    SolveOutcome,
     SolveRequest,
     SolverError,
     SweepAxis,
@@ -54,7 +56,7 @@ from .solver import (
     solve_pole_radius,
     sweep_grid,
 )
-from .verify import run_checks
+from .verify import CheckResult, run_checks
 
 _CLI_CASES = {
     "four": CASE_FOUR,
@@ -110,29 +112,29 @@ def _add_output_opts(p: argparse.ArgumentParser) -> None:
 def _resolved_inputs(args) -> RunConfig:
     """Merge defaults, the config file's fields and the flags given, in that
     order, into one run request; only the merged request is validated."""
-    fields = {"a": None, "r0": 0.0, "theta0": 0.0, "chords": None,
+    merged = {"a": None, "r0": 0.0, "theta0": 0.0, "chords": None,
               "mode": "closed", "tol": None, "seed": 0}
     if args.config:
         try:
             text = Path(args.config).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        fields.update(_config_fields(text))
+        merged.update(_config_fields(text))
 
     scale = _DEG if args.degrees else 1.0
-    flags = {name: getattr(args, name, None) for name in fields}  # each flag's dest is a field
+    flags = {name: getattr(args, name, None) for name in merged}  # each flag's dest is a field
     if args.theta0 is not None:
         flags["theta0"] = args.theta0 * scale
     if args.chords is not None:
         flags["chords"] = tuple(t * scale for t in _parse_floats(args.chords, "--chords"))
-    fields.update((name, value) for name, value in flags.items() if value is not None)
+    merged.update((name, value) for name, value in flags.items() if value is not None)
 
-    if fields["a"] is None:
+    if merged["a"] is None:
         raise ConfigError("missing circle radius: pass --a or --config")
-    if fields["chords"] is None:
+    if merged["chords"] is None:
         raise ConfigError("missing chord angles: pass --chords or --config")
-    return RunConfig(CircleConfig(fields["a"], fields["r0"], fields["theta0"]),
-                     fields["chords"], fields["mode"], fields["tol"], fields["seed"])
+    return RunConfig(CircleConfig(merged["a"], merged["r0"], merged["theta0"]),
+                     merged["chords"], merged["mode"], merged["tol"], merged["seed"])
 
 
 def _quad_spec(rc: RunConfig) -> QuadratureSpec:
@@ -140,8 +142,7 @@ def _quad_spec(rc: RunConfig) -> QuadratureSpec:
 
 
 def _circle_fields(rc: RunConfig) -> dict:
-    cfg = rc.circle
-    return {"a": cfg.a, "r0": cfg.r0, "theta0": cfg.theta0, "chords": list(rc.chords)}
+    return {**asdict(rc.circle), "chords": list(rc.chords)}
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -268,36 +269,31 @@ def _cmd_solve(args) -> int:
         "free_parameter": free_name,
         "bracket": list(bracket) if bracket else None,
         **_circle_fields(rc),
-        "root": outcome.root,
-        "residual_at_root": outcome.residual_at_root,
-        "iterations": outcome.iterations,
-        "oracle_check": outcome.oracle_check,
+        **asdict(outcome),
     }
-    _emit_report(args, payload,
-                 ("free_parameter", "root", "residual_at_root", "iterations", "oracle_check"),
+    _emit_report(args, payload, ("free_parameter", *(f.name for f in fields(SolveOutcome))),
                  [payload])
     return 0
 
 
 def _cmd_sweep(args) -> int:
     rc = _resolved_inputs(args)
-    case_tag = _case_tag(args)
     if not args.grid:
         raise ConfigError("sweep needs at least one --grid axis=lo:hi:n")
     axes = []
     for text in args.grid:
         ax = _parse_grid_axis(text)
         if args.degrees and ax.name.startswith("theta"):
-            ax = SweepAxis(name=ax.name, lo=ax.lo * _DEG, hi=ax.hi * _DEG, count=ax.count)
+            ax = replace(ax, lo=ax.lo * _DEG, hi=ax.hi * _DEG)
         axes.append(ax)
+    case_tag = resolve_case(_case_tag(args), len(rc.chords))
     grid = sweep_grid(rc.circle, rc.chords, axes, case_tag)
 
     payload = {
         "command": "sweep",
-        "case": resolve_case(case_tag, len(rc.chords)),
+        "case": case_tag,
         **_circle_fields(rc),
-        "axes": [{"name": ax.name, "lo": ax.lo, "hi": ax.hi, "count": ax.count}
-                 for ax in grid.axes],
+        "axes": [asdict(ax) for ax in grid.axes],
         "values": list(grid.values),
     }
     # Axis names may repeat, so the CSV rows cannot be read from dicts.
@@ -331,12 +327,10 @@ def _cmd_verify(args) -> int:
         print(f"{status} {result.name}: {result.detail}", file=sys.stderr)
     payload = {
         "command": "verify",
-        "checks": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-        ],
+        "checks": [asdict(r) for r in results],
         "passed": all(r.passed for r in results),
     }
-    _emit_report(args, payload, ("name", "passed", "detail"), payload["checks"])
+    _emit_report(args, payload, tuple(f.name for f in fields(CheckResult)), payload["checks"])
     return 0 if payload["passed"] else 3
 
 

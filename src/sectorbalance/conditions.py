@@ -137,6 +137,13 @@ def _residual_value(a: float, r0: float, theta0: float, angles: tuple[float, ...
     return 0.5 * r0 * r0 * k_sum + a * a * deficit
 
 
+def _corrected(cfg: CircleConfig, angles: tuple[float, ...], case_tag: str) -> ResidualReport:
+    """The corrected report of a fan, built here and nowhere else: fan check, then closed form."""
+    check_fan(angles)
+    value = _residual_value(cfg.a, cfg.r0, cfg.theta0, angles)
+    return ResidualReport(case_tag, VARIANT_CORRECTED, value, cfg, angles)
+
+
 def residual_eight(
     cfg: CircleConfig, t1: float, t2: float, t3: float, t4: float
 ) -> ResidualReport:
@@ -146,10 +153,7 @@ def residual_eight(
     - sin 2(t3-theta0)] + a^2*(t2 - t1 + t4 - t3 - pi/2)``; zero exactly when
     the odd and even sector sums are equal.
     """
-    angles = (t1, t2, t3, t4)
-    check_fan(angles)
-    value = _residual_value(cfg.a, cfg.r0, cfg.theta0, angles)
-    return ResidualReport(CASE_EIGHT, VARIANT_CORRECTED, value, cfg, angles)
+    return _corrected(cfg, (t1, t2, t3, t4), CASE_EIGHT)
 
 
 def residual_four(cfg: CircleConfig, t1: float, t2: float) -> ResidualReport:
@@ -157,10 +161,7 @@ def residual_four(cfg: CircleConfig, t1: float, t2: float) -> ResidualReport:
 
     ``(r0^2/2)[sin 2(t2-theta0) - sin 2(t1-theta0)] + a^2*(t2 - t1 - pi/2)``.
     """
-    angles = (t1, t2)
-    check_fan(angles)
-    value = _residual_value(cfg.a, cfg.r0, cfg.theta0, angles)
-    return ResidualReport(CASE_FOUR, VARIANT_CORRECTED, value, cfg, angles)
+    return _corrected(cfg, (t1, t2), CASE_FOUR)
 
 
 def residual_six(
@@ -177,20 +178,27 @@ def residual_six(
 
     where ``bracket = 2(x2-x3-x1) - sin 2x3 + sin 2x2 - sin 2x1``.  The
     as-printed variant exists for audit comparisons only and is a domain
-    error at r0 = 0.
+    error at r0 = 0 and wherever ``(a/r0)^2`` overflows.
     """
     angles = (t1, t2, t3)
+    if variant == VARIANT_CORRECTED:
+        return _corrected(cfg, angles, CASE_SIX)
     check_fan(angles)
     bracket = _closed_form(cfg.theta0, cfg.r0 / cfg.a, angles)
-    if variant == VARIANT_CORRECTED:
-        value = 0.5 * cfg.a * cfg.a * bracket
-    elif variant == VARIANT_AS_PRINTED:
-        if cfg.r0 == 0.0:
-            raise DomainError("as-printed six-sector residual is undefined at r0 = 0")
-        sines = _closed_form(cfg.theta0, 0.0, (t1, t3))[0]
-        value = 0.5 * cfg.r0 * cfg.r0 * sines + (cfg.a / cfg.r0) ** 2 * bracket
-    else:
+    if variant != VARIANT_AS_PRINTED:
         raise DomainError(f"unknown residual variant {variant!r}")
+    if cfg.r0 == 0.0:
+        raise DomainError("as-printed six-sector residual is undefined at r0 = 0")
+    try:
+        scale = (cfg.a / cfg.r0) ** 2  # inf, not OverflowError, once a/r0 is already inf
+    except OverflowError:
+        scale = math.inf
+    if scale == math.inf:
+        raise DomainError(
+            f"as-printed six-sector residual is undefined at r0 = {cfg.r0!r}: (a/r0)^2 overflows"
+        )
+    sines = _closed_form(cfg.theta0, 0.0, (t1, t3))[0]
+    value = 0.5 * cfg.r0 * cfg.r0 * sines + scale * bracket
     return ResidualReport(CASE_SIX, variant, value, cfg, angles)
 
 
@@ -248,9 +256,7 @@ def case_residual(
         return residual_six(cfg, *angles)
     if case_tag == CASE_EIGHT:
         return residual_eight(cfg, *angles)
-    check_fan(angles)
-    value = _residual_value(cfg.a, cfg.r0, cfg.theta0, angles)
-    return ResidualReport(CASE_GENERAL, VARIANT_CORRECTED, value, cfg, angles)
+    return _corrected(cfg, angles, CASE_GENERAL)
 
 
 def special_case_eight(

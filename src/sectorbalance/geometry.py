@@ -22,6 +22,7 @@ and telescoping identities free of branch-cut artifacts.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, NoReturn, Sequence
 
@@ -41,6 +42,9 @@ class CircleConfig:
     """Circle of radius ``a`` with centre at ``(r0, theta0)`` from the pole.
 
     The pole must lie strictly inside the circle, i.e. ``0 <= r0 < a``.
+    The disk area ``pi*a^2`` must be finite and ``a^2`` a normal double, so
+    about ``1.5e-154 <= a <= 7.5e153``; outside that range every area and
+    residual would overflow to inf/NaN or lose its digits to underflow.
     ``theta0`` is stored as given; it is only reduced for display purposes.
     """
 
@@ -51,6 +55,11 @@ class CircleConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.a) and self.a > 0.0):
             raise DomainError(f"radius a must be finite and positive, got {self.a!r}")
+        if not (math.isfinite(math.pi * self.a * self.a) and self.a * self.a >= sys.float_info.min):
+            raise DomainError(
+                "radius a must keep pi*a^2 finite and a^2 normal "
+                f"(about 1.5e-154 <= a <= 7.5e153), got {self.a!r}"
+            )
         if not (math.isfinite(self.r0) and 0.0 <= self.r0 < self.a):
             raise DomainError(
                 f"pole offset r0 must satisfy 0 <= r0 < a, got r0={self.r0!r}, a={self.a!r}"

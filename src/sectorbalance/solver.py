@@ -290,6 +290,18 @@ def free_angle_brackets(
     return brackets
 
 
+def _accepted(cfg: CircleConfig, angles: tuple[float, ...], root: float, residual: float,
+              iterations: int, tol: float) -> SolveOutcome:
+    """The one acceptance rule of every solve: ``root`` stands only if |``residual``| <= tol*a^2
+    and the quadrature residual of ``angles`` is within 100*tol*a^2, else :class:`SolverError`."""
+    oracle = quadrature_residual(cfg, angles)
+    a2 = cfg.a * cfg.a
+    if abs(residual) > tol * a2 or abs(oracle) > 100.0 * tol * a2:
+        raise SolverError(f"root {root!r} fails the residual check: closed={residual!r}, "
+                          f"quadrature cross-check={oracle!r}")
+    return SolveOutcome(root, residual, iterations, oracle)
+
+
 def solve_free_angle(req: SolveRequest) -> SolveOutcome:
     """Refine one boundary angle to a balance root inside ``req.bracket``.
 
@@ -311,14 +323,8 @@ def solve_free_angle(req: SolveRequest) -> SolveOutcome:
     def f(value: float) -> float:
         return _residual_value(cfg.a, cfg.r0, cfg.theta0, req.angles_with(value))
 
-    a2 = cfg.a * cfg.a
-    root, froot, iterations = find_root(f, lo, hi, xtol=req.tol, ftol=req.tol * a2)
-    oracle = quadrature_residual(req.cfg, req.angles_with(root))
-    if abs(oracle) > 100.0 * req.tol * a2:
-        raise SolverError(
-            f"quadrature cross-check {oracle!r} disagrees with closed-form root residual {froot!r}"
-        )
-    return SolveOutcome(root, froot, iterations, oracle)
+    root, froot, iterations = find_root(f, lo, hi, xtol=req.tol, ftol=req.tol * (cfg.a * cfg.a))
+    return _accepted(cfg, req.angles_with(root), root, froot, iterations, req.tol)
 
 
 def solve_pole_radius(
@@ -356,14 +362,7 @@ def solve_pole_radius(
         raise SolverError(f"no interior solution: -2L/K = {ratio!r} falls outside [0, 1)")
     r0 = a * math.sqrt(ratio)
     cfg = CircleConfig(a=a, r0=r0, theta0=theta0)
-    residual = case_residual(cfg, base, case_tag).residual
-    oracle = quadrature_residual(cfg, base)
-    a2 = a * a
-    if abs(residual) > tol * a2 or abs(oracle) > 100.0 * tol * a2:
-        raise SolverError(
-            f"inverted radius {r0!r} fails the residual check: closed={residual!r}, quadrature={oracle!r}"
-        )
-    return SolveOutcome(r0, residual, 0, oracle)
+    return _accepted(cfg, base, r0, case_residual(cfg, base, case_tag).residual, 0, tol)
 
 
 def sweep_grid(

@@ -207,6 +207,15 @@ class TestResidual:
         assert (code, out) == (2, "")
         assert "domain error" in err and "overflows" in err
 
+    @pytest.mark.parametrize("r0", ["1e-200", "1e-320"])
+    def test_audit_where_a_over_r0_squared_overflows_is_domain_error(self, capsys, r0):
+        # (a/r0)^2 raises OverflowError at 1e-200; at 1e-320 a/r0 is already inf.
+        code, out, err = run(capsys, ["residual", "--case", "six", "--audit", "--a", "1",
+                                      "--r0", r0, "--chords=-0.2,0.3,0.8"])
+        assert (code, out) == (2, "")
+        assert err == ("sectorbalance: domain error: as-printed six-sector residual is "
+                       f"undefined at r0 = {float(r0)!r}: (a/r0)^2 overflows\n")
+
     def test_half_turn_edge_fan_has_a_residual(self, capsys):
         # The span is one rounding step below pi: a valid fan, though its
         # antipodal partition rounds to a full turn.
@@ -380,6 +389,13 @@ class TestSweep:
         assert run_cli(["sweep", "--a", "1", "--chords", "0,1",
                         "--grid", "r0=0-1-5"]) == 1
 
+    @pytest.mark.parametrize("grid, expected", [("r0=a:b:3", 1), ("r0=0.5:0:3", 2)],
+                             ids=["non-numeric", "reversed"])
+    def test_grid_range_errors_map_to_exit_codes(self, capsys, grid, expected):
+        code, out, err = run(capsys, ["sweep", "--a", "1", "--chords", "0,1", "--grid", grid])
+        assert (code, out) == (expected, "")
+        assert err.count("\n") == 1
+
     def test_unknown_axis_is_domain_error(self, capsys):
         assert run_cli(["sweep", "--a", "1", "--chords", "0,1",
                         "--grid", "radius=0:1:5"]) == 2
@@ -455,7 +471,51 @@ class TestRender:
         assert "domain error" in err and "overflows" in err
 
 
+_RADIUS_CALLS = {
+    "areas": ["areas"],
+    "residual": ["residual"],
+    "solve": ["solve"],
+    "sweep": ["sweep", "--grid", "r0=0:0.5:3"],
+    "render": ["render"],
+}
+
+
+class TestRadiusRange:
+    """A radius whose pi*a^2 overflows or whose a^2 underflows is a domain error."""
+
+    @pytest.mark.parametrize("a", ["1e200", "1e-200"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("argv", _RADIUS_CALLS.values(), ids=_RADIUS_CALLS)
+    def test_radius_outside_the_range_exits_2(self, capsys, tmp_path, argv, source, a):
+        path = tmp_path / "run.json"
+        path.write_text(f'{{"a": {a}, "r0": 0, "theta0": 0, "chords": [-0.7, 0.7]}}',
+                        encoding="utf-8")
+        circle = (["--a", a, "--chords=-0.7,0.7"] if source == "flag"
+                  else ["--config", str(path)])
+        code, out, err = run(capsys, [*argv, *circle])
+        assert (code, out) == (2, "")
+        assert err == ("sectorbalance: domain error: radius a must keep pi*a^2 finite and a^2 "
+                       f"normal (about 1.5e-154 <= a <= 7.5e153), got {float(a)!r}\n")
+
+    @pytest.mark.parametrize("a", ["1e150", "1e-150"])
+    @pytest.mark.parametrize("argv", [["areas"], ["residual"], ["solve"]])
+    def test_radius_inside_the_range_prints_finite_values(self, capsys, a, argv):
+        code, out, _ = run(capsys, [*argv, "--a", a, "--chords=-0.7,0.7", "--format", "csv"])
+        assert code == 0
+        values = [float(v) for row in out.splitlines()[1:] for v in row.split(",")
+                  if v not in ("odd", "even", "four", "corrected", "r0")]
+        assert values and all(math.isfinite(v) for v in values)
+
+
 class TestConfigFile:
+    def test_non_string_mode_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text('{"a": 1, "r0": 0, "theta0": 0, "chords": [0, 1], "mode": 3}',
+                        encoding="utf-8")
+        code, out, err = run(capsys, ["areas", "--config", str(path)])
+        assert (code, out) == (1, "")
+        assert err == "sectorbalance: error: field 'mode' must be a string, got 3\n"
+
     def test_config_file_drives_run(self, capsys, tmp_path):
         path = tmp_path / "run.json"
         path.write_text('{"a": 1, "r0": 0.6, "theta0": 0.3, "chords": '

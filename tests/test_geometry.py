@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +45,22 @@ class TestCircleConfig:
     def test_accepts_centered(self):
         cfg = CircleConfig(a=2.0, r0=0.0, theta0=1.0)
         assert cfg.r0 == 0.0
+
+    # The largest radius whose pi*a^2 is finite and the smallest whose a^2 is normal.
+    A_MAX = math.sqrt(sys.float_info.max / PI)
+    A_MIN = math.sqrt(sys.float_info.min)
+
+    @pytest.mark.parametrize("a, accepted", [
+        (A_MAX, True), (math.nextafter(A_MAX, math.inf), False),
+        (A_MIN, True), (math.nextafter(A_MIN, 0.0), False),
+        (1e150, True), (1e-150, True), (1e200, False), (1e-200, False),
+    ])
+    def test_radius_range(self, a, accepted):
+        if accepted:
+            assert CircleConfig(a=a, r0=0.0, theta0=0.0).a == a
+        else:
+            with pytest.raises(DomainError, match="radius a must keep pi\\*a\\^2 finite"):
+                CircleConfig(a=a, r0=0.0, theta0=0.0)
 
 
 class TestRadialDistance:
@@ -109,7 +126,7 @@ class TestSectorAreaClosed:
             1.2637039021427074, rel=1e-12
         )
 
-    @pytest.mark.parametrize("lo,hi", [(1.0, 1.0), (1.0, 0.5), (0.0, 7.0)])
+    @pytest.mark.parametrize("lo,hi", [(1.0, 1.0), (1.0, 0.5), (0.0, 7.0), (math.nan, 1.0)])
     def test_rejects_bad_intervals(self, lo, hi):
         cfg = CircleConfig(1.0, 0.3, 0.0)
         with pytest.raises(DomainError):
@@ -188,6 +205,10 @@ class TestChordFanAndPartition:
     def test_partition_off_by_1e9_at_small_angles_is_rejected(self):
         with pytest.raises(DomainError, match="boundary 4 must be boundary 2 plus pi"):
             SectorPartition((0.0, 1.0, PI, 1.0 + PI + 1e-9))
+
+    def test_partition_rejects_repeated_boundaries(self):
+        with pytest.raises(DomainError, match="strictly increasing"):
+            SectorPartition((0.0, 0.0, PI, PI))
 
     def test_partition_rejects_odd_count(self):
         with pytest.raises(DomainError):

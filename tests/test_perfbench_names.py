@@ -7,6 +7,7 @@ import importlib
 import importlib.util
 import inspect
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -94,3 +95,71 @@ def test_benchmark_cli_calls_succeed_alike_from_flags_and_config(capsys, tmp_pat
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert run_cli([*rest, "--config", str(path)]) == 0, call.argv
         assert capsys.readouterr().out == out, call.argv
+
+
+# Applies one benchmark fault in a fresh interpreter (faults keep no undo) and
+# reports what the program returns before and after it.
+_FAULT_PROBE = """
+import json, sys
+sys.path[:0] = sys.argv[2:]
+import faults
+from sectorbalance import ChordFan, CircleConfig, SolverError, SweepAxis
+from sectorbalance import conditions, geometry, solver
+
+cfg = CircleConfig(2.0, 0.6, 0.3)
+fans = [(-0.2, 1.1), (-0.2, 0.3, 0.8), (0.0, 0.8, 1.3, 2.0)]
+
+
+def observe():
+    seen = {
+        "case_residual": [conditions.case_residual(cfg, fan).residual for fan in fans],
+        "residual_general": [conditions.residual_general(cfg, ChordFan(fan)).residual
+                             for fan in fans],
+        "sectors": geometry.area_report(
+            cfg, geometry.build_partition(ChordFan(fans[0]))).sector_areas,
+    }
+    try:
+        seen["pole_radius"] = solver.solve_pole_radius((-0.7, 0.7), 0.0, 1.0).root
+    except SolverError:
+        seen["pole_radius"] = "SolverError"
+    try:
+        solver.sweep_grid(cfg, fans[0], [SweepAxis("r0", 0.0, 0.5, 3)])
+        seen["sweep"] = "returned"
+    except RuntimeError as exc:
+        seen["sweep"] = str(exc)
+    return seen
+
+
+before = observe()
+faults.apply(sys.argv[1])
+print(json.dumps({"before": before, "after": observe()}))
+"""
+
+
+def _under_fault(name: str) -> tuple[dict, dict]:
+    src = Path(sectorbalance.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-c", _FAULT_PROBE, name, str(src), str(PERFBENCH)],
+                          capture_output=True, text=True, check=True, timeout=120)
+    seen = json.loads(done.stdout)
+    return seen["before"], seen["after"]
+
+
+def test_residual_shift_reaches_every_two_to_four_chord_residual_and_the_pole_solve():
+    before, after = _under_fault("residual-shift")
+    shift = 1e-7 * 2.0**2
+    for key in ("case_residual", "residual_general"):
+        assert [b - a for a, b in zip(before[key], after[key])] == pytest.approx(
+            [shift] * 3, rel=1e-6), key
+    assert isinstance(before["pole_radius"], float)
+    assert after["pole_radius"] == "SolverError"
+
+
+def test_swap_areas_swaps_the_first_two_sectors():
+    before, after = _under_fault("swap-areas")
+    s1, s2, *rest = before["sectors"]
+    assert after["sectors"] == [s2, s1, *rest]
+
+
+def test_sweep_raises_makes_every_sweep_raise():
+    before, after = _under_fault("sweep-raises")
+    assert (before["sweep"], after["sweep"]) == ("returned", "injected fault")

@@ -68,6 +68,10 @@ class TestJsonText:
         payload = {"x": [-0.1, 2.5e-300], "y": {"z": "text"}}
         assert json_text(payload) == json_text(payload)
 
+    @pytest.mark.parametrize("payload, text", [({}, "{}\n"), ([], "[]\n")])
+    def test_empty_containers(self, payload, text):
+        assert json_text(payload) == text
+
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             json_text({"x": object()})
@@ -115,6 +119,7 @@ class TestReadConfig:
             '{"a": 1, "r0": 0, "theta0": 0, "chords": ["x"]}',
             '{"a": "one", "r0": 0, "theta0": 0, "chords": [0]}',
             '{"a": 1, "r0": 0, "theta0": 0, "chords": [0], "mode": "magic"}',
+            '{"a": 1, "r0": 0, "theta0": 0, "chords": [0], "mode": 3}',
             '{"a": 1, "r0": 0, "theta0": 0, "chords": [0], "seed": 1.5}',
             '{"a": 1, "r0": 0, "theta0": 0, "chords": [0], "tol": -1}',
             '{"a": 1, "r0": 0, "theta0": 0, "chords": [0], "extra": 1}',

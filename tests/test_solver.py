@@ -70,6 +70,18 @@ class TestFindRoot:
         root, _, _ = find_root(lambda x: x**3 - 2.0, 0.0, 2.0, xtol=1e-14, ftol=1e-14)
         assert root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-12)
 
+    @pytest.mark.parametrize("f, expected", [
+        (lambda x: x - 1.0, (1.0, 0.0, 0)),
+        (lambda x: x - 0.001, (0.0, -0.001, 0)),
+        (lambda x: x - 0.999, (1.0, 1.0 - 0.999, 0)),
+    ], ids=["hi-is-zero", "lo-within-ftol", "hi-within-ftol"])
+    def test_returns_at_a_bracket_end_without_iterating(self, f, expected):
+        assert find_root(f, 0.0, 1.0, xtol=1e-12, ftol=0.01) == expected
+
+    def test_bracket_narrowed_to_xtol_raises(self):
+        with pytest.raises(SolverError, match="bracket narrowed to"):
+            find_root(lambda x: x**3 - 0.3, -1.0, 2.0, xtol=0.5, ftol=1e-300)
+
 
 class TestScanSignChange:
     def test_finds_bracket(self):
@@ -83,6 +95,17 @@ class TestScanSignChange:
     def test_handles_exact_zero_sample(self):
         lo, hi = scan_sign_change(lambda x: x, -1.0, 1.0, points=5)
         assert lo <= 0.0 <= hi
+
+    def test_zero_only_at_the_last_sample(self):
+        assert scan_sign_change(lambda x: x - 1.0, 0.0, 1.0, points=5) == (0.75, 1.0)
+
+    @pytest.mark.parametrize("lo, hi, points, message", [
+        (0.0, 1.0, 1, "at least two points"),
+        (1.0, 0.0, 5, "invalid scan range"),
+    ], ids=["one-point", "reversed"])
+    def test_unusable_scan_raises(self, lo, hi, points, message):
+        with pytest.raises(SolverError, match=message):
+            scan_sign_change(lambda x: x, lo, hi, points=points)
 
 
 class TestFeasibleInterval:
@@ -102,6 +125,10 @@ class TestFeasibleInterval:
     def test_empty_fixed_raises(self):
         with pytest.raises(SolverError):
             feasible_interval((), 0)
+
+    def test_unordered_neighbours_leave_no_room(self):
+        with pytest.raises(SolverError, match="leave no room at slot 1"):
+            feasible_interval((1.0, 0.5), 1)
 
     @pytest.mark.parametrize("free_index", [-1, 3])
     def test_slot_outside_the_fan_is_domain_error(self, free_index):
@@ -455,6 +482,19 @@ class TestSolvePoleRadius:
         monkeypatch.setattr(solver, "quadrature_residual", lambda cfg, angles: 1.0)
         with pytest.raises(SolverError, match="fails the residual check"):
             solve_pole_radius((-0.6, 0.6), 0.0, 1.0, CASE_FOUR)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: solve_pole_radius((-0.6, 0.6), 0.0, 1.0, CASE_FOUR),
+    lambda: solve_free_angle(SolveRequest(cfg=CircleConfig(1.0, 0.3, 0.1), fixed_angles=(0.0,),
+                                          free_index=1, bracket=(1.2, 2.2))),
+], ids=["pole-radius", "free-angle"])
+def test_both_solves_reject_a_root_by_one_rule(monkeypatch, solve):
+    monkeypatch.setattr(solver, "quadrature_residual", lambda cfg, angles: 1.0)
+    with pytest.raises(SolverError,
+                       match=r"^root \S+ fails the residual check: closed=\S+, "
+                             r"quadrature cross-check=1\.0$"):
+        solve()
 
 
 class TestSweepGrid:

@@ -1,7 +1,14 @@
+import itertools
+from pathlib import Path
+
 import pytest
 
-from sectorbalance import area_report, verify
-from sectorbalance.verify import check_pizza_cancellation, check_solver_soundness
+from sectorbalance import area_report, cli, verify
+from sectorbalance.verify import (
+    check_determinism,
+    check_pizza_cancellation,
+    check_solver_soundness,
+)
 
 
 class TestPizzaCancellation:
@@ -75,3 +82,19 @@ class TestSolverSoundness:
         monkeypatch.setattr(verify, "residual_eight", broken)
         with pytest.raises(TypeError, match="injected"):
             check_solver_soundness(0, 50)
+
+
+class TestDeterminism:
+    def test_mismatched_bytes_and_failed_runs_are_reported(self, monkeypatch):
+        calls = itertools.count()
+
+        def fake_run_cli(argv):
+            if argv[0] == "render":
+                return 3
+            Path(argv[argv.index("--out") + 1]).write_text(str(next(calls)), encoding="utf-8")
+            return 0
+
+        monkeypatch.setattr(cli, "run_cli", fake_run_cli)
+        check = check_determinism(0)
+        assert not check.passed
+        assert check.detail == "mismatch in: json, csv, svg exited 3, montecarlo"
