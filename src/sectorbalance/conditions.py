@@ -11,7 +11,11 @@ one closed form serves every chord count and costs O(n):
              x_i = arcsin((r0/a)*sin(t_i-theta0))
 
 For even n the arcsine terms of opposite sectors cancel; for odd n they
-persist, so equal spacing alone does not balance the fan.  Two, three, and
+persist, so equal spacing alone does not balance the fan.  The closed form
+splits where ``r0`` enters: :func:`_phase_terms` depends only on ``theta0``
+and the fan (``K`` and ``L``, or the sines ``sin(t_i - theta0)``), and
+:func:`_odd_bracket` takes those sines and ``r0/a`` to the arcsine bracket,
+so a sweep forms the phase terms once per (fan, ``theta0``).  Two, three, and
 four chords (four, six, and eight sectors) keep their own case tags and
 entry points; every other count is the ``general-n`` case.
 :func:`residual_general` instead sums the 2n per-sector areas, an
@@ -82,17 +86,14 @@ class EightSectorCheck(NamedTuple):
     tan_form: Optional[float]
 
 
-def _closed_form(
-    theta0: float, rho: float, angles: tuple[float, ...]
-) -> tuple[float, float] | float:
-    """The alternating sums of the closed-form residual, in O(n); ``rho = r0/a``.
+def _phase_terms(theta0: float, angles: tuple[float, ...]) -> tuple[float, float] | list[float]:
+    """The part of the closed-form residual that ``r0`` does not reach, in O(n).
 
-    Even n returns ``(K, L)``, which do not depend on ``rho``; odd n returns
-    the arcsine bracket ``sum s_i*(2x_i + sin 2x_i)``.  The accumulation
-    order is fixed (chord pairs in turn for even n; for odd n the
-    even-indexed x ascending, then the odd-indexed x descending, then the
-    sines from t_n down to t_1), so the two-, three- and four-chord
-    residuals round exactly as their written-out formulas.
+    Even n returns ``(K, L)``; odd n returns ``[sin(t_i - theta0)]``, which
+    :func:`_odd_bracket` turns into the arcsine bracket for one ``r0/a``.
+    The accumulation order is fixed (chord pairs in turn), so the two- and
+    four-chord residuals round exactly as their written-out formulas.
+    Raises :class:`DomainError` where ``t - theta0`` (or twice it) overflows.
     """
     sin = math.sin
     n = len(angles)
@@ -107,32 +108,48 @@ def _closed_form(
                 k_sum -= sin(2.0 * (lo - theta0))
                 width += hi - lo
             return k_sum, width - 0.5 * math.pi
-        asin = math.asin
-        xs = []  # a loop, not a comprehension: cheaper on the short fans that dominate
+        sines = []  # a loop, not a comprehension: cheaper on the short fans that dominate
         for t in angles:
-            xs.append(asin(rho * sin(t - theta0)))
-        # Start from x_2 itself, not 0.0 + x_2, to keep the sign of a zero.
-        x_sum = xs[1] if n > 1 else 0.0
-        for i in range(3, n, 2):
-            x_sum += xs[i]
-        for i in range(n - 1, -1, -2):
-            x_sum -= xs[i]
-        bracket = 2.0 * x_sum
-        for i in range(n - 1, 0, -2):
-            bracket -= sin(2.0 * xs[i])
-            bracket += sin(2.0 * xs[i - 1])
-        return bracket - sin(2.0 * xs[0])
+            sines.append(sin(t - theta0))
+        return sines
     except ValueError:
         # math.sin raises only on an infinite argument.
         _check_phases(theta0, angles, 1.0 if n % 2 else 2.0)
         raise
 
 
+def _odd_bracket(rho: float, sines: list[float]) -> float:
+    """The arcsine bracket ``sum s_i*(2x_i + sin 2x_i)`` of an odd fan; ``rho = r0/a``.
+
+    ``sines`` are :func:`_phase_terms`' ``sin(t_i - theta0)``.  The order is
+    fixed (the even-indexed x ascending, then the odd-indexed x descending,
+    then the sines from t_n down to t_1), so the three-chord residual rounds
+    exactly as its written-out formula.
+    """
+    sin = math.sin
+    asin = math.asin
+    xs = []
+    for s in sines:
+        xs.append(asin(rho * s))
+    n = len(xs)
+    # Start from x_2 itself, not 0.0 + x_2, to keep the sign of a zero.
+    x_sum = xs[1] if n > 1 else 0.0
+    for i in range(3, n, 2):
+        x_sum += xs[i]
+    for i in range(n - 1, -1, -2):
+        x_sum -= xs[i]
+    bracket = 2.0 * x_sum
+    for i in range(n - 1, 0, -2):
+        bracket -= sin(2.0 * xs[i])
+        bracket += sin(2.0 * xs[i - 1])
+    return bracket - sin(2.0 * xs[0])
+
+
 def _residual_value(a: float, r0: float, theta0: float, angles: tuple[float, ...]) -> float:
     """Corrected balance residual of an already validated fan and pole ``0 <= r0 < a``."""
-    terms = _closed_form(theta0, r0 / a, angles)
+    terms = _phase_terms(theta0, angles)
     if len(angles) % 2:
-        return 0.5 * a * a * terms
+        return 0.5 * a * a * _odd_bracket(r0 / a, terms)
     k_sum, deficit = terms
     return 0.5 * r0 * r0 * k_sum + a * a * deficit
 
@@ -184,7 +201,7 @@ def residual_six(
     if variant == VARIANT_CORRECTED:
         return _corrected(cfg, angles, CASE_SIX)
     check_fan(angles)
-    bracket = _closed_form(cfg.theta0, cfg.r0 / cfg.a, angles)
+    bracket = _odd_bracket(cfg.r0 / cfg.a, _phase_terms(cfg.theta0, angles))
     if variant != VARIANT_AS_PRINTED:
         raise DomainError(f"unknown residual variant {variant!r}")
     if cfg.r0 == 0.0:
@@ -197,7 +214,7 @@ def residual_six(
         raise DomainError(
             f"as-printed six-sector residual is undefined at r0 = {cfg.r0!r}: (a/r0)^2 overflows"
         )
-    sines = _closed_form(cfg.theta0, 0.0, (t1, t3))[0]
+    sines = _phase_terms(cfg.theta0, (t1, t3))[0]
     value = 0.5 * cfg.r0 * cfg.r0 * sines + scale * bracket
     return ResidualReport(CASE_SIX, variant, value, cfg, angles)
 
@@ -277,7 +294,7 @@ def special_case_eight(
     ``t1+t3-2*theta0`` falls on a pole of the tangent.
     """
     check_fan((t1, t2, t3, t4))
-    k_sum, deficit = _closed_form(cfg.theta0, cfg.r0 / cfg.a, (t1, t2, t3, t4))
+    k_sum, deficit = _phase_terms(cfg.theta0, (t1, t2, t3, t4))
     width_ok = abs(deficit) <= tol
     sine_ok = abs(k_sum) <= tol
     arg = t1 + t3 - 2.0 * cfg.theta0
@@ -293,7 +310,7 @@ def special_case_four(
 ) -> FourSectorCheck:
     """Sufficient equal-area conditions for two chords: quarter-turn width and matched sines."""
     check_fan((t1, t2))
-    k_sum, deficit = _closed_form(cfg.theta0, cfg.r0 / cfg.a, (t1, t2))
+    k_sum, deficit = _phase_terms(cfg.theta0, (t1, t2))
     return FourSectorCheck(abs(deficit) <= tol, abs(k_sum) <= tol)
 
 
@@ -312,6 +329,6 @@ def special_case_six(
     fans balance with it false).
     """
     check_fan((t1, t2, t3))
-    sine_ok = abs(_closed_form(cfg.theta0, 0.0, (t1, t3))[0]) <= tol
-    bracket_ok = abs(_closed_form(cfg.theta0, cfg.r0 / cfg.a, (t1, t2, t3))) <= tol
+    sine_ok = abs(_phase_terms(cfg.theta0, (t1, t3))[0]) <= tol
+    bracket_ok = abs(_odd_bracket(cfg.r0 / cfg.a, _phase_terms(cfg.theta0, (t1, t2, t3)))) <= tol
     return SixSectorCheck(sine_ok, bracket_ok)

@@ -115,6 +115,8 @@ def quadrature_area(
     so the scheme needs no endpoint special-casing.  Fully deterministic.
     Raises DomainError when ``theta_b - theta0`` rounds to ``theta_a -
     theta0``: the integrand then sees one phase across the whole interval.
+    Raises QuadratureError when a panel at ``spec.max_depth`` still misses
+    its share, naming the overflow of ``r(theta)^2`` when K15 is not finite.
     """
     _check_interval(theta_a, theta_b)
     theta0 = cfg.theta0
@@ -158,6 +160,11 @@ def quadrature_area(
             total += kronrod * half
             continue
         if depth >= spec.max_depth:
+            if not math.isfinite(kronrod):
+                raise QuadratureError(
+                    f"the integrand r(theta)^2/2 overflows near theta={mid!r}, "
+                    f"where r(theta) approaches a + r0 = {cfg.a + r0!r}"
+                )
             raise QuadratureError(
                 f"tolerance {spec.abs_tol!r} not met within max_depth={spec.max_depth}"
             )

@@ -3,8 +3,9 @@
 Covers three ways of hunting balanced configurations: bracketed root
 refinement in one free boundary angle, analytic inversion for the pole
 radius of any fan with an even chord count, and dense residual grids for
-downstream contour extraction.  Every reported root is cross-checked
-against the quadrature oracle before it is returned.
+downstream contour extraction, which check each distinct fan once and form
+its phase terms once per ``theta0``, with ``r0`` innermost.  Every reported
+root is cross-checked against the quadrature oracle before it is returned.
 
 The brackets for a free angle are exact, not sampled.  With
 ``u = t - theta0``, the residual's derivative in one chord angle ``t`` is
@@ -23,7 +24,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .conditions import _closed_form, _residual_value, case_residual, resolve_case
+from .conditions import _odd_bracket, _phase_terms, _residual_value, case_residual, resolve_case
 from .geometry import CircleConfig, DomainError, check_fan
 from .oracle import quadrature_residual
 
@@ -352,7 +353,7 @@ def solve_pole_radius(
     check_fan(base)
     if len(base) % 2:
         raise DomainError(f"pole-radius inversion needs an even chord count, got {len(base)}")
-    K, L = _closed_form(theta0, 0.0, base)  # even n: K and L do not depend on r0
+    K, L = _phase_terms(theta0, base)  # even n: K and L do not depend on r0
     if abs(K) <= _DEGENERATE_K:
         raise SolverError(
             f"degenerate configuration: sine sum K={K!r} makes the residual independent of r0"
@@ -365,6 +366,26 @@ def solve_pole_radius(
     return _accepted(cfg, base, r0, case_residual(cfg, base, case_tag).residual, 0, tol)
 
 
+def _level(start: tuple[float, ...], axes: list[tuple[int, int, list[float]]]
+           ) -> list[tuple[int, tuple[float, ...]]]:
+    """``(row-major offset, values)`` of every combination of one loop level's axes.
+
+    Each axis is ``(slot in start, stride, grid values)``, in axis order, so
+    of two axes on one slot the later wins; no axis gives ``[(0, start)]``.
+    """
+    point = list(start)
+    slots = [slot for slot, _, _ in axes]
+    out = []
+    for combo in itertools.product(*([(i * stride, value) for i, value in enumerate(values)]
+                                     for _, stride, values in axes)):
+        offset = 0
+        for slot, (part, value) in zip(slots, combo):
+            offset += part
+            point[slot] = value
+        out.append((offset, tuple(point)))
+    return out
+
+
 def sweep_grid(
     cfg: CircleConfig,
     base_angles: Sequence[float],
@@ -375,57 +396,61 @@ def sweep_grid(
 
     Axis values override the template's ``r0``, ``theta0``, or one base
     angle per grid point; points violating the case preconditions are
-    recorded as NaN.  Purely functional, so evaluation order never matters.
+    recorded as NaN.  The loops run in the order the residual reads its
+    inputs: each distinct fan once (one :func:`check_fan`), within it each
+    ``theta0`` once (one :func:`_phase_terms`), and within that each ``r0``,
+    which costs only the rest of :func:`_residual_value`'s arithmetic.  So
+    every value is bit-identical to evaluating the point on its own.
     """
     axes = tuple(axes)
     if not axes:
         raise DomainError("sweep needs at least one axis")
     base = tuple(float(t) for t in base_angles)
     resolve_case(case_tag, len(base))
-    # Each axis writes one slot of the point [r0, theta0, t_1, ..., t_n].
-    slots = []
+    # Split the axes by the input they move; each writes one slot of its level's point.
+    r0_axes, theta0_axes, angle_axes = [], [], []
+    size = stride = math.prod(ax.count for ax in axes)
     for ax in axes:
+        stride //= ax.count
+        values = [float(v) for v in ax.grid_values()]
         if ax.name == "r0":
-            slots.append(0)
+            r0_axes.append((0, stride, values))
         elif ax.name == "theta0":
-            slots.append(1)
+            theta0_axes.append((0, stride, values))
         else:
             k = int(ax.name[5:])
             if k > len(base):
                 raise DomainError(f"axis {ax.name!r} exceeds the {len(base)} base angles")
-            slots.append(k + 1)
-    moves_angle = max(slots) > 1
-    if not moves_angle:
-        try:
-            check_fan(base)
-        except DomainError:
-            return ResidualGrid(axes=axes, values=(math.nan,) * math.prod(ax.count for ax in axes))
-
-    # Every case tag's corrected residual is this one closed form, so a point
-    # needs only the checks that CircleConfig and check_fan would make, and
-    # the closed form's own: it raises DomainError where t - theta0 overflows
-    # (or theta0 is infinite, rounded past the largest float at the top of an
-    # axis), and that point holds NaN too.
+            angle_axes.append((k - 1, stride, values))
     a = cfg.a
-    point = [cfg.r0, cfg.theta0, *base]
-    angles = base
-    values: list[float] = []
-    for combo in itertools.product(*([float(v) for v in ax.grid_values()] for ax in axes)):
-        for slot, value in zip(slots, combo):
-            point[slot] = value
-        r0, theta0 = point[0], point[1]
-        if not 0.0 <= r0 < a:
-            values.append(math.nan)
-            continue
-        if moves_angle:
-            angles = tuple(point[2:])
-            try:
-                check_fan(angles)
-            except DomainError:
-                values.append(math.nan)
-                continue
+    a2 = a * a
+    half_a2 = 0.5 * a * a
+    odd = len(base) % 2
+    # Per pole radius in [0, a): its offset, 0.5*r0*r0 and r0/a, as _residual_value forms them.
+    poles = [(offset, 0.5 * r0 * r0, r0 / a)
+             for offset, (r0,) in _level((cfg.r0,), r0_axes) if 0.0 <= r0 < a]
+    phases = [(offset, theta0) for offset, (theta0,) in _level((cfg.theta0,), theta0_axes)]
+
+    values = [math.nan] * size
+    for fan_offset, angles in _level(base, angle_axes):
         try:
-            values.append(_residual_value(a, r0, theta0, angles))
+            check_fan(angles)
         except DomainError:
-            values.append(math.nan)
+            continue
+        for phase_offset, theta0 in phases:
+            # Raises where t - theta0 overflows, or theta0 rounded to inf at
+            # the top of its axis; those points stay NaN.
+            try:
+                terms = _phase_terms(theta0, angles)
+            except DomainError:
+                continue
+            offset = fan_offset + phase_offset
+            if odd:
+                for pole_offset, _, rho in poles:
+                    values[offset + pole_offset] = half_a2 * _odd_bracket(rho, terms)
+            else:
+                k_sum, deficit = terms
+                shift = a2 * deficit
+                for pole_offset, half_r0_sq, _ in poles:
+                    values[offset + pole_offset] = half_r0_sq * k_sum + shift
     return ResidualGrid(axes=axes, values=tuple(values))

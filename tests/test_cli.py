@@ -507,6 +507,24 @@ class TestRadiusRange:
         assert values and all(math.isfinite(v) for v in values)
 
 
+class TestQuadratureOverflow:
+    """Near the top of the radius range the quadrature says when its integrand overflows."""
+
+    _NEAR_THE_TOP = {"areas": ["areas", "--chords", "0,1", "--mode", "quadrature"],
+                     "solve": ["solve", "--free-index", "3", "--chords", "0,0.7,1.2"]}
+
+    @pytest.mark.parametrize("argv", _NEAR_THE_TOP.values(), ids=_NEAR_THE_TOP)
+    def test_quadrature_whose_integrand_overflows_says_so(self, capsys, argv):
+        # r(theta) reaches a + r0 > 1.34e154, so r(theta)^2 overflows.
+        code, out, err = run(capsys, [*argv, "--a", "7.5e153", "--r0", "7.4e153"])
+        assert (code, out) == (3, "")
+        assert err.startswith("sectorbalance: quadrature error: the integrand r(theta)^2/2 "
+                              "overflows near theta=")
+        assert err.endswith(", where r(theta) approaches a + r0 = 1.4900000000000003e+154\n")
+        code, _, err = run(capsys, [*argv, "--a", "6.7e153", "--r0", "6.6e153"])
+        assert (code, err) == (0, "")
+
+
 class TestConfigFile:
     def test_non_string_mode_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "run.json"

@@ -97,6 +97,21 @@ def test_benchmark_cli_calls_succeed_alike_from_flags_and_config(capsys, tmp_pat
         assert capsys.readouterr().out == out, call.argv
 
 
+def test_every_benchmark_grid_matches_per_point_evaluation():
+    from test_solver import _per_point_sweep
+
+    gen = _load(INPUTS, "perfbench_inputs")
+    cli_grids = dict.fromkeys(call.grid for call in gen.cli_inputs(1) if call.grid is not None)
+    grids = [*gen.explore_inputs(1).grids, *cli_grids]
+    assert len(cli_grids) == 2 and len(grids) == 24
+    for g in grids:
+        cfg = sectorbalance.CircleConfig(g.a, g.r0, g.theta0)
+        axes = [sectorbalance.SweepAxis(ax.name, ax.lo, ax.hi, ax.count) for ax in g.axes]
+        got = sectorbalance.sweep_grid(cfg, g.angles, axes).values
+        expected = _per_point_sweep(cfg, g.angles, axes, None)
+        assert [v.hex() for v in got] == [v.hex() for v in expected], g
+
+
 # Applies one benchmark fault in a fresh interpreter (faults keep no undo) and
 # reports what the program returns before and after it.
 _FAULT_PROBE = """

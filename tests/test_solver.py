@@ -666,3 +666,88 @@ class TestSweepMatchesPerPointResidual:
             assert [v.hex() for v in got] == [v.hex() for v in expected], (cfg, base, axes, tag)
             nan_points += sum(math.isnan(v) for v in expected)
         assert nan_points > 0
+
+    @staticmethod
+    def _assert_matches(cfg, base, axes, tag=None):
+        expected = _per_point_sweep(cfg, base, axes, tag)
+        got = sweep_grid(cfg, base, axes, tag).values
+        assert [v.hex() for v in got] == [v.hex() for v in expected], (cfg, base, axes, tag)
+        return got
+
+    @pytest.mark.parametrize("base", [(0.1, 0.9), (0.1, 0.9, 1.7), (0.1, 0.5, 0.9, 1.7)])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_r0_axis_first_middle_or_last(self, base, position):
+        cfg = CircleConfig(1.3, 0.2, 0.4)
+        axes = [SweepAxis("theta0", -1.0, 2.0, 4), SweepAxis("theta2", 0.3, 1.2, 3)]
+        axes.insert(position, SweepAxis("r0", 0.0, 1.4, 5))
+        self._assert_matches(cfg, base, axes)
+
+    @pytest.mark.parametrize("name, lo, hi", [("r0", 0.0, 0.9), ("theta0", -1.0, 1.5),
+                                              ("theta2", 0.3, 1.2)])
+    def test_later_of_two_axes_on_one_slot_wins(self, name, lo, hi):
+        cfg = CircleConfig(1.0, 0.3, 0.2)
+        base = (0.1, 0.7, 1.4)
+        first, second = SweepAxis(name, lo, hi, 3), SweepAxis(name, lo + 0.05, hi + 0.1, 4)
+        got = self._assert_matches(cfg, base, [first, SweepAxis("theta3", 1.0, 1.6, 2), second])
+        alone = sweep_grid(cfg, base, [SweepAxis("theta3", 1.0, 1.6, 2), second]).values
+        assert [v.hex() for v in got] == [v.hex() for v in alone] * 3
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_three_axis_r0_theta0_chord_grid(self, n):
+        cfg = CircleConfig(0.8, 0.1, -0.3)
+        base = tuple(0.2 + 0.5 * i for i in range(n))
+        axes = [SweepAxis("r0", 0.0, 0.85, 6), SweepAxis("theta0", -2.0, 1.0, 5),
+                SweepAxis(f"theta{n}", base[-1] - 0.7, base[-1] + 1.0, 7)]
+        values = self._assert_matches(cfg, base, axes, CASE_GENERAL)
+        assert any(math.isnan(v) for v in values) and not all(math.isnan(v) for v in values)
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 2.0), (-0.5, -0.1), (2.0, 2.0)])
+    def test_every_r0_outside_the_disk_gives_all_nan(self, lo, hi):
+        cfg = CircleConfig(1.0, 0.3, 0.2)
+        axes = [SweepAxis("theta0", -1.0, 1.0, 3), SweepAxis("r0", lo, hi, 4)]
+        values = self._assert_matches(cfg, (0.1, 0.7, 1.4), axes)
+        assert all(math.isnan(v) for v in values)
+
+    @pytest.mark.parametrize("base", [(0.9, 0.1), (0.0, 1.0, 3.2), (0.5, 0.5)])
+    def test_invalid_template_fan_swept_over_r0_and_theta0_gives_all_nan(self, base):
+        cfg = CircleConfig(1.0, 0.3, 0.2)
+        axes = [SweepAxis("r0", 0.0, 0.9, 3), SweepAxis("theta0", -1.0, 1.0, 4)]
+        values = self._assert_matches(cfg, base, axes)
+        assert len(values) == 12 and all(math.isnan(v) for v in values)
+
+    @pytest.mark.parametrize("base", [(0.0, 1.0), (0.0, 0.5, 1.0)])
+    def test_theta0_axis_whose_top_value_rounds_to_inf(self, base):
+        cfg = CircleConfig(1.0, 0.5, 0.0)
+        top = SweepAxis("theta0", 0.0, sys.float_info.max, 4)
+        assert top.grid_values()[-1] == math.inf
+        values = self._assert_matches(cfg, base, [SweepAxis("r0", 0.0, 0.9, 3), top,
+                                                  SweepAxis("theta1", -0.5, 0.2, 2)])
+        # Row-major, theta0 has stride 2: index 3 of it is 6 + 8*i + j.
+        assert all(math.isnan(values[8 * i + 6 + j]) for i in range(3) for j in range(2))
+
+
+@pytest.mark.parametrize("base", [(-1.7, 0.8), (-0.5, 0.8, 1.5)])
+def test_sweep_checks_each_fan_once_and_phases_each_valid_pair_once(monkeypatch, base):
+    """On an r0 x theta0 x theta<k> grid the fan check runs per fan and the phase
+    terms per (fan, theta0), never per point."""
+    calls = {"check_fan": 0, "_phase_terms": 0}
+
+    def counting(name):
+        fn = getattr(solver, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(solver, name, counting(name))
+    cfg = CircleConfig(1.0, 0.2, 0.1)
+    # theta2 = 0.4 and 1.0 keep the fan valid; 1.6 breaks its half-turn span or its order.
+    axes = [SweepAxis("r0", 0.0, 0.8, 5), SweepAxis("theta0", -1.0, 1.0, 4),
+            SweepAxis("theta2", 0.4, 1.6, 3)]
+    values = sweep_grid(cfg, base, axes).values
+    assert [v.hex() for v in values] == [v.hex() for v in _per_point_sweep(cfg, base, axes, None)]
+    assert calls["check_fan"] == 3
+    assert calls["_phase_terms"] <= 2 * 4
