@@ -184,9 +184,18 @@ def quadrature_report(
 def quadrature_residual(
     cfg: CircleConfig, base_angles: tuple[float, ...], spec: QuadratureSpec | None = None
 ) -> float:
-    """Quadrature-based balance residual: odd-sector sum minus half the disk."""
-    report = quadrature_report(cfg, build_partition(ChordFan(tuple(base_angles))), spec)
-    return report.odd_sum - 0.5 * math.pi * cfg.a * cfg.a
+    """Quadrature-based balance residual: odd-sector sum minus half the disk.
+
+    Integrates only the n odd sectors (``sectors[0::2]``) that the residual
+    reads and sums them with ``math.fsum``, as :meth:`AreaReport.from_areas`
+    forms ``odd_sum``, so the value is bit-identical to
+    :func:`quadrature_report`'s ``odd_sum`` minus half the disk.  Even
+    sectors are never integrated, so a quadrature failure confined to one
+    raises nothing.
+    """
+    odd = build_partition(ChordFan(tuple(base_angles))).sectors[0::2]
+    odd_sum = math.fsum(quadrature_area(cfg, lo, hi, spec) for lo, hi in odd)
+    return odd_sum - 0.5 * math.pi * cfg.a * cfg.a
 
 
 def _sector_change_points(part: SectorPartition) -> tuple[list[float], list[int]]:

@@ -5,7 +5,11 @@ refinement in one free boundary angle, analytic inversion for the pole
 radius of any fan with an even chord count, and dense residual grids for
 downstream contour extraction, which check each distinct fan once and form
 its phase terms once per ``theta0``, with ``r0`` innermost.  Every reported
-root is cross-checked against the quadrature oracle before it is returned.
+root is cross-checked against the quadrature oracle before it is returned;
+the cross-check integrates only the n odd sectors that the residual reads.
+Each search computes only what its answer reads: :func:`scan_sign_change`
+stops at the first bracketing pair of samples, and
+:func:`free_angle_brackets` needs at most three residual values.
 
 The brackets for a free angle are exact, not sampled.  With
 ``u = t - theta0``, the residual's derivative in one chord angle ``t`` is
@@ -206,7 +210,12 @@ def scan_sign_change(
     """Uniform scan for a sign-change sub-bracket.
 
     Convenience heuristic: it only inspects ``points`` samples, so a sign
-    change squeezed between neighbouring samples can be missed.
+    change squeezed between neighbouring samples can be missed.  Samples
+    ``lo + i*step`` are evaluated in order, and the scan stops at the first
+    pair ``(x_i, x_{i+1})`` that brackets a root: ``f(x_i) == 0.0`` (after
+    ``i + 1`` calls of ``f``) or a sign change (after ``i + 2``).  A zero at
+    the last sample returns the last pair.  ``f`` is never called past the
+    bracket it returns.
     """
     if points < 2:
         raise SolverError("scan needs at least two points")
@@ -214,11 +223,15 @@ def scan_sign_change(
         raise SolverError(f"invalid scan range [{lo!r}, {hi!r}]")
     step = (hi - lo) / (points - 1)
     xs = [lo + i * step for i in range(points)]
-    fs = [f(x) for x in xs]
+    f_prev = f(xs[0])
     for i in range(points - 1):
-        if fs[i] == 0.0 or (fs[i] > 0.0) != (fs[i + 1] > 0.0):
+        if f_prev == 0.0:
             return xs[i], xs[i + 1]
-    if fs[-1] == 0.0:
+        f_next = f(xs[i + 1])
+        if (f_prev > 0.0) != (f_next > 0.0):
+            return xs[i], xs[i + 1]
+        f_prev = f_next
+    if f_prev == 0.0:
         return xs[-2], xs[-1]
     raise SolverError(f"no sign change found scanning [{lo!r}, {hi!r}] with {points} points")
 

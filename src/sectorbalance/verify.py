@@ -236,18 +236,25 @@ def check_solver_soundness(seed: int, trials: int) -> CheckResult:
     worst_quad = 0.0
     solved = 0
     attempts = 0
+    failures = []
     while solved < trials and attempts < 100 * trials:
         attempts += 1
         cfg = random_circle(rng)
         fixed = tuple(sorted(rng.uniform(0.0, 0.6 * PI) for _ in range(3)))
         if min(b - a for a, b in zip(fixed, fixed[1:])) < 0.05:
             continue
+        # Only a fan without a root is skipped; a root the solve rejects, or
+        # fails to refine, is a fault the check must report.
         try:
             bracket = free_angle_brackets(cfg, fixed, 3)[0]
+        except SolverError:
+            continue
+        try:
             outcome = solve_free_angle(
                 SolveRequest(cfg=cfg, fixed_angles=fixed, free_index=3, bracket=bracket)
             )
-        except SolverError:
+        except SolverError as exc:
+            failures.append(str(exc))
             continue
         a2 = cfg.a * cfg.a
         # The public residual, outside the try: a fault in it must raise, not skip.
@@ -276,16 +283,16 @@ def check_solver_soundness(seed: int, trials: int) -> CheckResult:
 
     passed = (
         solved == trials
+        and not failures
         and worst_res <= 1e-10
         and worst_quad <= 1e-8
         and worst_gap <= 1e-10
     )
-    return CheckResult(
-        "solver_soundness",
-        passed,
-        f"{solved}/{trials} bracketed roots (worst closed {worst_res:.3e}, quadrature "
-        f"{worst_quad:.3e} per a^2), analytic vs numeric radius gap {worst_gap:.3e}",
-    )
+    detail = (f"{solved}/{trials} bracketed roots (worst closed {worst_res:.3e}, quadrature "
+              f"{worst_quad:.3e} per a^2), analytic vs numeric radius gap {worst_gap:.3e}")
+    if failures:
+        detail += f"; {len(failures)} bracketed solves failed, first: {failures[0]}"
+    return CheckResult("solver_soundness", passed, detail)
 
 
 def check_determinism(seed: int) -> CheckResult:

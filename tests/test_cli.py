@@ -524,6 +524,27 @@ class TestQuadratureOverflow:
         code, _, err = run(capsys, [*argv, "--a", "6.7e153", "--r0", "6.6e153"])
         assert (code, err) == (0, "")
 
+    _RESIDUAL = ["residual", "--a", "7.5e153", "--r0", "7.4e153", "--chords", "0,0.7,1.2"]
+
+    def test_overflow_in_an_even_sector_is_not_integrated(self, capsys):
+        # At theta0 = 0.95 the integrand overflows only in sector 2, which the
+        # quadrature residual does not read.
+        argv = [*self._RESIDUAL, "--theta0", "0.95"]
+        code, out, err = run(capsys, [*argv, "--mode", "quadrature"])
+        assert (code, err) == (0, "")
+        quad = json.loads(out)["residual"]
+        code, out, _ = run(capsys, [*argv, "--mode", "closed"])
+        assert code == 0
+        assert quad == pytest.approx(json.loads(out)["residual"], rel=1e-12)
+
+    def test_overflow_in_an_odd_sector_still_exits_3(self, capsys):
+        code, out, err = run(capsys, [*self._RESIDUAL, "--theta0", "0.35", "--mode",
+                                      "quadrature"])
+        assert (code, out) == (3, "")
+        assert err.startswith("sectorbalance: quadrature error: the integrand r(theta)^2/2 "
+                              "overflows near theta=")
+        assert err.endswith(", where r(theta) approaches a + r0 = 1.4900000000000003e+154\n")
+
 
 class TestConfigFile:
     def test_non_string_mode_is_usage_error(self, capsys, tmp_path):

@@ -120,6 +120,57 @@ class TestQuadratureArea:
         assert quadrature_residual(cfg, fan) == pytest.approx(0.0, abs=1e-10)
 
 
+def _odd_sector_fans():
+    """(cfg, fan, spec) for seeded fans of every chord count 1..9, two specs each."""
+    rng = random.Random(2026)
+    for n in range(1, 10):
+        for _ in range(3):
+            cfg = random_circle(rng)
+            fan = random_fan(rng, n)
+            for spec in (None, QuadratureSpec(abs_tol=1e-9 * cfg.a * cfg.a, max_depth=30)):
+                yield cfg, fan, spec
+
+
+class TestQuadratureResidual:
+    """The cross-check integrates the n odd sectors it reads, and only those."""
+
+    def test_equals_the_odd_sum_of_the_full_report(self):
+        for cfg, fan, spec in _odd_sector_fans():
+            report = quadrature_report(cfg, build_partition(fan), spec)
+            expected = report.odd_sum - 0.5 * PI * cfg.a * cfg.a
+            got = quadrature_residual(cfg, fan.base_angles, spec)
+            assert got.hex() == expected.hex(), (cfg, fan, spec)
+
+    def test_integrates_exactly_n_sectors(self, monkeypatch):
+        real = sectorbalance.oracle.quadrature_area
+        seen = []
+
+        def counted(cfg, theta_a, theta_b, spec=None):
+            seen.append((theta_a, theta_b, spec))
+            return real(cfg, theta_a, theta_b, spec)
+
+        monkeypatch.setattr(sectorbalance.oracle, "quadrature_area", counted)
+        for cfg, fan, spec in _odd_sector_fans():
+            seen.clear()
+            quadrature_residual(cfg, fan.base_angles, spec)
+            odd = build_partition(fan).sectors[0::2]
+            assert seen == [(lo, hi, spec) for lo, hi in odd]
+            assert len(seen) == len(fan.base_angles)
+
+    def test_independent_of_closed_form(self, monkeypatch):
+        cases = list(_odd_sector_fans())
+        before = [quadrature_residual(cfg, fan.base_angles, spec) for cfg, fan, spec in cases]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the quadrature oracle called the closed form")
+
+        for module in (sectorbalance, sectorbalance.geometry, sectorbalance.oracle):
+            for name in ("sector_area_closed", "area_report", "substituted_angle"):
+                monkeypatch.setattr(module, name, forbidden, raising=False)
+        after = [quadrature_residual(cfg, fan.base_angles, spec) for cfg, fan, spec in cases]
+        assert after == before
+
+
 # A fan on which adaptive Simpson accepted sector 2 1.27e-10 * a^2 off.  The
 # reference areas integrate (1/2) r^2 over each sector's float boundaries with
 # mpmath.quad at 40 digits (tanh-sinh and Gauss-Legendre agree to all 40),

@@ -108,6 +108,122 @@ class TestScanSignChange:
             scan_sign_change(lambda x: x, lo, hi, points=points)
 
 
+def _eager_scan(f, lo, hi, points=64):
+    """Reference: the scan that evaluates every sample before it looks for a change."""
+    if points < 2:
+        raise SolverError("scan needs at least two points")
+    if not lo < hi:
+        raise SolverError(f"invalid scan range [{lo!r}, {hi!r}]")
+    step = (hi - lo) / (points - 1)
+    xs = [lo + i * step for i in range(points)]
+    fs = [f(x) for x in xs]
+    for i in range(points - 1):
+        if fs[i] == 0.0 or (fs[i] > 0.0) != (fs[i + 1] > 0.0):
+            return xs[i], xs[i + 1]
+    if fs[-1] == 0.0:
+        return xs[-2], xs[-1]
+    raise SolverError(f"no sign change found scanning [{lo!r}, {hi!r}] with {points} points")
+
+
+def _scan_cases(seed, count):
+    """(kind, f, lo, hi, points): seeded monotone, oscillating, zero-hitting and signless f."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        lo = rng.uniform(-3.0, 3.0)
+        hi = lo + rng.uniform(0.1, 4.0)
+        points = rng.choice([2, 3, 5, 17, 64])
+        step = (hi - lo) / (points - 1)
+        xs = [lo + i * step for i in range(points)]
+        c = rng.uniform(lo - 1.0, hi + 1.0)
+        k, phase = rng.uniform(1.0, 12.0), rng.uniform(0.0, 2.0 * PI)
+        sign = rng.choice([-1.0, 1.0])
+        zeros = {"first": xs[0], "middle": xs[points // 2], "last": xs[-1],
+                 "random": rng.choice(xs)}
+        yield "increasing", lambda x, c=c: x - c, lo, hi, points
+        yield "decreasing", lambda x, c=c: c - x, lo, hi, points
+        yield "oscillating", lambda x, k=k, p=phase: math.sin(k * x + p), lo, hi, points
+        yield "no change", lambda x, c=c, s=sign: s * (1.0 + (x - c) ** 2), lo, hi, points
+        for where, z in zeros.items():
+            # A zero crossed at a sample, and a zero touched at a sample without a change.
+            yield f"crossing at {where}", lambda x, z=z, s=sign: s * (x - z), lo, hi, points
+            yield (f"touching at {where}",
+                   lambda x, z=z, s=sign: 0.0 if x == z else s * (1.0 + x * x), lo, hi, points)
+
+
+def _outcome(scan, f, lo, hi, points):
+    try:
+        return scan(f, lo, hi, points)
+    except SolverError as exc:
+        return str(exc)
+
+
+class TestScanStopsAtTheFirstChange:
+    """``scan_sign_change`` returns what the eager scan returns and evaluates no sample past it."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_eager_scan(self, seed):
+        kinds = set()
+        for kind, f, lo, hi, points in _scan_cases(seed, 40):
+            kinds.add(kind)
+            expected = _outcome(_eager_scan, f, lo, hi, points)
+            assert _outcome(scan_sign_change, f, lo, hi, points) == expected, (kind, lo, hi, points)
+        assert len(kinds) == 12
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_calls_f_only_up_to_the_bracket(self, seed):
+        for kind, f, lo, hi, points in _scan_cases(seed, 40):
+            calls = []
+
+            def counted(x, f=f):
+                calls.append(x)
+                return f(x)
+
+            step = (hi - lo) / (points - 1)
+            xs = [lo + i * step for i in range(points)]
+            outcome = _outcome(scan_sign_change, counted, lo, hi, points)
+            assert calls == xs[:len(calls)], kind
+            if isinstance(outcome, str):
+                assert len(calls) == points, kind
+                continue
+            i = xs.index(outcome[0])
+            # A zero at x_i brackets on its own; a sign change, or the zero at
+            # the last sample after a non-zero x_{n-2}, needs f(x_{i+1}) too.
+            expected = i + 1 if f(xs[i]) == 0.0 else i + 2
+            assert len(calls) == expected, kind
+
+    def test_sign_change_at_pair_i_takes_i_plus_two_calls(self):
+        xs = [0.0 + i * (1.0 / 63) for i in range(64)]
+        for i in range(63):
+            calls = []
+
+            def f(x, root=0.5 * (xs[i] + xs[i + 1])):
+                calls.append(x)
+                return x - root
+
+            assert scan_sign_change(f, 0.0, 1.0) == (xs[i], xs[i + 1])
+            assert len(calls) == i + 2
+
+    def test_two_points(self):
+        assert scan_sign_change(lambda x: x - 0.5, 0.0, 1.0, points=2) == (0.0, 1.0)
+        assert scan_sign_change(lambda x: 0.0 if x == 0.0 else 1.0, 0.0, 1.0, points=2) == (
+            0.0, 1.0)
+        assert scan_sign_change(lambda x: x - 1.0, 0.0, 1.0, points=2) == (0.0, 1.0)
+        with pytest.raises(SolverError, match="with 2 points"):
+            scan_sign_change(lambda x: 1.0 + x, 0.0, 1.0, points=2)
+
+    def test_f_that_raises_past_the_first_change_is_not_reached(self):
+        xs = [0.0 + i * (1.0 / 63) for i in range(64)]
+
+        def f(x):
+            if x > xs[11]:
+                raise ZeroDivisionError("evaluated past the bracket")
+            return x - 0.5 * (xs[10] + xs[11])
+
+        with pytest.raises(ZeroDivisionError):
+            _eager_scan(f, 0.0, 1.0)
+        assert scan_sign_change(f, 0.0, 1.0) == (xs[10], xs[11])
+
+
 class TestFeasibleInterval:
     def test_middle_slot(self):
         assert feasible_interval((0.0, 1.0), 1) == (0.0, 1.0)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from sectorbalance import area_report, cli, verify
+from sectorbalance import area_report, cli, solver, verify
 from sectorbalance.verify import (
     check_determinism,
     check_pizza_cancellation,
@@ -82,6 +82,41 @@ class TestSolverSoundness:
         monkeypatch.setattr(verify, "residual_eight", broken)
         with pytest.raises(TypeError, match="injected"):
             check_solver_soundness(0, 50)
+
+    def test_rejected_root_fails_the_check(self, monkeypatch):
+        # A residual fault on about a third of the radii: the solve's quadrature
+        # cross-check rejects those roots, and a rejection is not a skip.
+        real = solver._residual_value
+
+        def shifted(a, r0, theta0, angles):
+            return real(a, r0, theta0, angles) + (1e-6 * a * a if a > 1.5 else 0.0)
+
+        monkeypatch.setattr(solver, "_residual_value", shifted)
+        check = check_solver_soundness(0, 50)
+        assert not check.passed
+        assert "bracketed solves failed, first: root " in check.detail
+        assert "fails the residual check" in check.detail
+
+    def test_refinement_failure_fails_the_check(self, monkeypatch):
+        real = solver.find_root
+        calls = itertools.count()
+
+        def failing_once(f, lo, hi, **kwargs):
+            if next(calls) == 3:
+                raise solver.SolverError("max iterations (200) exceeded")
+            return real(f, lo, hi, **kwargs)
+
+        monkeypatch.setattr(solver, "find_root", failing_once)
+        check = check_solver_soundness(0, 50)
+        assert not check.passed
+        assert check.detail.endswith("; 1 bracketed solves failed, first: "
+                                     "max iterations (200) exceeded")
+
+    def test_detail_at_seed_zero(self):
+        check = check_solver_soundness(0, 50)
+        assert check.passed
+        assert check.detail == ("50/50 bracketed roots (worst closed 7.128e-12, quadrature "
+                                "7.128e-12 per a^2), analytic vs numeric radius gap 7.772e-16")
 
 
 class TestDeterminism:
