@@ -252,6 +252,13 @@ def _sector_change_points(part: SectorPartition) -> tuple[list[float], list[int]
     hi = order_of(np.clip(guess + slack, -math.pi, math.pi))
     lo = np.where(key(lo) < targets, lo, first)
     hi = np.where(key(hi) >= targets, hi, last)
+    # A bracket across zero spans every binary exponent in the order of the
+    # doubles (~62 rounds).  A change point at 0.0 itself, as where b[0] = 0,
+    # is settled by the key at 0.0 and at the double below it (-5e-324).
+    below, zero = key(np.array([-1, 0], dtype=np.int64)).tolist()
+    at_zero = (below < targets) & (zero >= targets)
+    lo = np.where(at_zero, -1, lo)
+    hi = np.where(at_zero, 0, hi)
     while np.any(hi > lo + 1):
         # Floor of (lo + hi) / 2 without overflowing int64.
         mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)
@@ -260,6 +267,110 @@ def _sector_change_points(part: SectorPartition) -> tuple[list[float], list[int]
         lo = np.where(reached, lo, mid)
     taus = flip(hi).view(np.float64).tolist()
     return taus, [first_key % n_sect, *(targets % n_sect).tolist()]
+
+
+# The Monte Carlo screen (see montecarlo_area): a sample is counted from its
+# float32 angle unless that angle lies within _SCREEN_MARGIN rad of a change
+# point or of +-pi, or the sample lies within _SCREEN_RHO * a of the pole; the
+# float32 angle is within 1.88e-5 rad of the float64 one everywhere else.
+_SCREEN_MARGIN = 2e-4
+_SCREEN_RHO = 0.05
+# Samples screened at a time: the float32 temporaries of a block stay in
+# cache, and a shard keeps about 24 bytes per sample live (two float64
+# arrays, one float32 and one bool, and a block's temporaries) where the
+# float64 expression for every sample kept 25.
+_SCREEN_BLOCK = 8192
+
+
+def _screen_table(taus: list[float]):
+    """Bins of float32 angles whose samples take the exact float64 path.
+
+    A float32 angle ``t32`` falls in bin ``int32((t32 + pi) * (1/margin))`` of
+    a table over [-pi, pi] with bins ``_SCREEN_MARGIN`` wide.  The bin of each
+    change point, and of -pi and pi (the branch cut of ``arctan2``), is
+    flagged with two bins on each side, so every angle within 1.99 margins
+    of one is flagged: the float32 index is off by at most 0.005 bins.
+    """
+    import numpy as np
+
+    table = np.zeros(int(TWO_PI / _SCREEN_MARGIN) + 2, dtype=bool)
+    for tau in (-math.pi, *taus, math.pi):
+        j = int((tau + math.pi) / _SCREEN_MARGIN)
+        table[max(j - 2, 0):j + 3] = True
+    return table
+
+
+def _screen(cfg: CircleConfig, s, ang):
+    """Float32 angles ``t32`` and squared distances from the pole of samples
+    at ``s * a`` from the centre in direction ``ang``, in units of ``a``.
+
+    ``t32 = arctan2(cy/a + s*sin(ang), cx/a + s*cos(ang))`` with ``s`` and
+    ``ang`` rounded to float32, so both arrays are float32; see
+    :func:`montecarlo_area` for the bound on ``t32``.
+    """
+    import numpy as np
+
+    y32 = ang.astype(np.float32)
+    x32 = np.cos(y32)
+    np.sin(y32, out=y32)
+    t32 = s.astype(np.float32)
+    x32 *= t32
+    x32 += np.float32(cfg.r0 * math.cos(cfg.theta0) / cfg.a)
+    y32 *= t32
+    y32 += np.float32(cfg.r0 * math.sin(cfg.theta0) / cfg.a)
+    np.arctan2(y32, x32, out=t32)
+    x32 *= x32
+    y32 *= y32
+    x32 += y32
+    return t32, x32
+
+
+def _shard_counts(cfg: CircleConfig, taus: list[float], table, seed: int, shard: int, m: int):
+    """Samples of shard ``shard`` (``m`` of them) at or above each change point.
+
+    Screens them with :func:`_screen` and sends to the float64 expression
+    those that ``table`` (from :func:`_screen_table`) or ``_SCREEN_RHO``
+    flags; see :func:`montecarlo_area`.
+    """
+    import numpy as np
+
+    # s and ang stay float64 for the exact path.
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, shard], dtype=np.uint64)))
+    s = gen.random(m)
+    np.sqrt(s, out=s)
+    ang = gen.random(m)
+    ang *= TWO_PI
+    t32 = np.empty(m, dtype=np.float32)
+    near = np.empty(m, dtype=bool)
+    for lo in range(0, m, _SCREEN_BLOCK):
+        hi = lo + _SCREEN_BLOCK
+        t, rho2 = _screen(cfg, s[lo:hi], ang[lo:hi])
+        t32[lo:hi] = t
+        flagged = near[lo:hi]
+        np.less(rho2, np.float32(_SCREEN_RHO * _SCREEN_RHO), out=flagged)
+        bins = (t + np.float32(math.pi)) * np.float32(1.0 / _SCREEN_MARGIN)
+        flagged |= np.take(table, bins.astype(np.int32), mode="clip")
+    # The exact path, for the flagged samples only: the ufuncs of the
+    # expression arctan2(cy + r*sin(ang), cx + r*cos(ang)) in its order, so
+    # these angles are bit-identical to it.
+    exact = np.flatnonzero(near)
+    r = s[exact]
+    r *= cfg.a
+    phi = ang[exact]
+    x = np.cos(phi)
+    x *= r
+    x += cfg.r0 * math.cos(cfg.theta0)
+    y = np.sin(phi, out=phi)
+    y *= r
+    y += cfg.r0 * math.sin(cfg.theta0)
+    t = np.arctan2(y, x, out=x)
+    t32[exact] = np.nan
+    # near is free once exact is taken, so it holds each comparison.
+    return np.array(
+        [np.count_nonzero(np.greater_equal(t32, np.float32(tau), out=near))
+         + np.count_nonzero(t >= tau) for tau in taus],
+        dtype=np.int64,
+    )
 
 
 def montecarlo_area(
@@ -279,49 +390,52 @@ def montecarlo_area(
 
     A sample's sector is a step function of its angle ``t = arctan2(y, x)``,
     so the change points of that function are found once per call, by
-    :func:`_sector_change_points`, and each shard only counts the samples at
-    or above each change point (``count_nonzero(t >= tau)``, about 0.3 ns per
-    sample and change point, with about one change point per sector
-    boundary).  The counts are identical to classifying every sample by
-    ``searchsorted(offsets, mod(t - b[0], 2*pi), "right") - 1``: each change
-    point is the least double at which that expression moves on.
+    :func:`_sector_change_points`, and each shard counts the samples at or
+    above each change point (``t >= tau``).  The counts are identical to
+    classifying every sample by ``searchsorted(offsets, mod(t - b[0], 2*pi),
+    "right") - 1``: each change point is the least double at which that
+    expression moves on.
+
+    Only samples near a change point need ``t`` to the last bit, so each
+    shard first screens its samples in float32, in units of ``a``: ``t32 =
+    arctan2(cy/a + s*sin(ang), cx/a + s*cos(ang))``, with ``s = sqrt(u)`` and
+    ``ang`` the float64 draws rounded.  A sample takes the exact path, the
+    float64 expression ``arctan2(cy + r*sin(ang), cx + r*cos(ang))`` with
+    the same ufuncs in the same order, when ``t32`` lies within ``margin =
+    2e-4`` rad (``_SCREEN_MARGIN``) of a change point or of +-pi, by the
+    bins of :func:`_screen_table`, or when its float32 distance from the
+    pole is below ``rho_min = 0.05a`` (``_SCREEN_RHO``).  Every other sample
+    counts as ``t32 >= float32(tau)``, which equals ``t >= tau`` because
+    there ``|t32 - t| <= 1.88e-5``, more than 10x below the margin.
+
+    The bound, in units of ``a``.  Rounding ``ang`` to float32 moves the
+    point by at most 2^-22 = 2.4e-7.  Per coordinate, float32 ``sin`` or
+    ``cos`` (within 2 ulp, as NumPy's accuracy tests assert) adds at most
+    1.2e-7, and the roundings of ``s``, of the product, of ``cx/a`` or
+    ``cy/a`` and of the sum (below 2) add 6e-8, 6e-8, 6e-8 and 1.2e-7.  So
+    the point moves by at most 2.4e-7 + sqrt(2)*4.2e-7 = 8.3e-7; a float32
+    distance of at least rho_min puts the float64 point at least 0.04999
+    from the pole, so its angle moves by at most 1.67e-5.  Float32
+    ``arctan2`` has no published bound; it is taken to be within 2e-6 rad
+    (8 ulp of pi, six times its largest error measured here), and with
+    ``float32(tau)`` (1.2e-7) the bound is 1.88e-5.  ``TestScreenBound`` in
+    the tier-1 suite measures each ufunc error and ``|t32 - t|`` itself on
+    the running platform and fails where they miss; nothing falls back at
+    run time.
+    About 0.4 % of a gate pole's samples take the exact path, most of them
+    within rho_min of the pole.
     """
     # Imported here, not at module level: only Monte Carlo needs numpy (~120 ms
     # of start-up) and the thread pool (~7 ms), so other calls never load them.
     from concurrent.futures import ThreadPoolExecutor
 
-    import numpy as np
-
     taus, sectors = _sector_change_points(part)
-    cx = cfg.r0 * math.cos(cfg.theta0)
-    cy = cfg.r0 * math.sin(cfg.theta0)
+    table = _screen_table(taus)
     n_shards = -(-spec.samples // _MC_SHARD)
 
-    def shard_counts(shard: int) -> np.ndarray:
-        # In-place ufuncs keep about three float arrays live per worker; the
-        # order of operations is that of the plain expression
-        # arctan2(cy + r*sin(ang), cx + r*cos(ang)), so the angles are
-        # bit-identical to it.
+    def shard_counts(shard: int):
         m = min(_MC_SHARD, spec.samples - shard * _MC_SHARD)
-        key = np.array([spec.seed, shard], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key))
-        r = gen.random(m)
-        np.sqrt(r, out=r)
-        r *= cfg.a
-        ang = gen.random(m)
-        ang *= TWO_PI
-        x = np.cos(ang)
-        x *= r
-        x += cx
-        y = np.sin(ang, out=ang)
-        y *= r
-        y += cy
-        t = np.arctan2(y, x, out=x)
-        mask = np.empty(m, dtype=bool)
-        return np.array(
-            [np.count_nonzero(np.greater_equal(t, tau, out=mask)) for tau in taus],
-            dtype=np.int64,
-        )
+        return _shard_counts(cfg, taus, table, spec.seed, shard, m)
 
     # NumPy releases the GIL in the Philox fill and in the ufuncs, and shards
     # share no state, so threads run them in parallel.

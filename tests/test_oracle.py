@@ -24,7 +24,8 @@ from sectorbalance import (
     sector_area_closed,
 )
 from sectorbalance.geometry import TWO_PI
-from sectorbalance.verify import random_circle, random_fan
+from sectorbalance.oracle import _SCREEN_MARGIN, _SCREEN_RHO
+from sectorbalance.verify import _pizza_fan, random_circle, random_fan
 
 PI = math.pi
 
@@ -351,3 +352,211 @@ class TestSectorChangePoints:
         np.testing.assert_array_equal(got, reference_sectors(part, t))
         # No sector of these fans is empty, so each has a piece.
         assert set(sectors) == set(range(len(part.boundaries)))
+
+    @pytest.mark.parametrize("base", [(0.0, PI / 2), (0.0, 1.2)])
+    def test_change_point_at_zero_takes_few_rounds(self, monkeypatch, base):
+        # Every key evaluation calls floor_divide once.  Bisection in the
+        # order of the doubles across zero takes about 62 rounds; elsewhere
+        # the brackets close in under 20.
+        real = np.floor_divide
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "floor_divide", counted)
+        taus, _ = sectorbalance.oracle._sector_change_points(build_partition(ChordFan(base)))
+        assert 0.0 in taus
+        assert len(calls) <= 24
+
+
+# np.arctan2 as numpy defines it, for the reference below: the tests of the
+# screen replace the module attribute to count or to corrupt its calls.
+REAL_ARCTAN2 = np.arctan2
+
+
+def exact_shard_counts(cfg, taus, seed, shard, m):
+    """Reference: one shard's samples at or above each change point, counted
+    from the float64 expression ``arctan2(y, x)`` alone."""
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, shard], dtype=np.uint64)))
+    r = cfg.a * np.sqrt(gen.random(m))
+    ang = gen.random(m) * TWO_PI
+    t = REAL_ARCTAN2(cfg.r0 * math.sin(cfg.theta0) + r * np.sin(ang),
+                     cfg.r0 * math.cos(cfg.theta0) + r * np.cos(ang))
+    return np.array([np.count_nonzero(t >= tau) for tau in taus], dtype=np.int64)
+
+
+GATE_SAMPLES = 1_000_000
+SHARD = 1 << 16
+# The last shard at the gate's size, and its 16 960 samples.
+LAST_SHARD = (GATE_SAMPLES - 1) // SHARD
+LAST_SHARD_SAMPLES = GATE_SAMPLES - LAST_SHARD * SHARD
+
+
+def gate_pole_shards():
+    """(cfg, fan, seed, shards) for every seed-0 gate pole, drawn as
+    ``check_pizza_cancellation`` draws them: its first and last shard."""
+    rng = random.Random("0:pizza")
+    for i in range(100):
+        cfg = random_circle(rng)
+        fan = ChordFan(_pizza_fan(rng.uniform(-PI, PI)))
+        yield cfg, fan, i, ((0, SHARD), (LAST_SHARD, LAST_SHARD_SAMPLES))
+
+
+def edge_shards():
+    shards = ((0, SHARD), (1, SHARD), (7, 1000))
+    shifted = tuple(1e5 + t for t in (-0.3, 0.4, 0.8, 1.1, 1.9))
+    return [
+        (CircleConfig(1.0, 0.0, 0.0), ChordFan((0.3, 1.1, 2.0)), 1, shards),
+        (CircleConfig(2.0, 1.9, 2.5), ChordFan(_pizza_fan(0.2)), 2, shards),
+        (CircleConfig(1.0, 0.5, 0.0), ChordFan((0.0, PI / 2)), 3, shards),
+        (CircleConfig(1.2, 0.4, 1.0), ChordFan((0.4, PI - 5e-7)), 4, shards),
+        (CircleConfig(1.2, 0.4, -2.0), ChordFan((-PI + 5e-7, -1.0)), 5, shards),
+        (CircleConfig(1.4, 0.9, -2.2), ChordFan(shifted), 6, shards),
+        (CircleConfig(1.4, 0.9, -2.2), ChordFan((0.8,)), 7, shards),
+        change_point_next_to_a_sample(),
+    ]
+
+
+def change_point_next_to_a_sample():
+    """A fan whose first change point is one ulp above the float64 angle of a
+    shard-0 sample far from the pole: a screen that skips the recheck near a
+    change point counts that sample on the wrong side of it."""
+    cfg = CircleConfig(1.0, 0.3, 0.7)
+    gen = np.random.Generator(np.random.Philox(key=np.array([8, 0], dtype=np.uint64)))
+    r = cfg.a * np.sqrt(gen.random(SHARD))
+    ang = gen.random(SHARD) * TWO_PI
+    x = cfg.r0 * math.cos(cfg.theta0) + r * np.cos(ang)
+    y = cfg.r0 * math.sin(cfg.theta0) + r * np.sin(ang)
+    t = REAL_ARCTAN2(y, x)
+    k = np.flatnonzero((np.hypot(x, y) > 0.5 * cfg.a) & (np.abs(t) < 2.0))[0]
+    b0 = float(np.nextafter(t[k], np.inf))
+    fan = ChordFan((b0, b0 + 1.0))
+    assert b0 in sectorbalance.oracle._sector_change_points(build_partition(fan))[0]
+    return cfg, fan, 8, ((0, SHARD),)
+
+
+EDGE_IDS = ["r0_zero", "r0_0.95a", "change_point_at_zero", "tau_near_pi",
+            "tau_near_minus_pi", "fan_shifted_1e5", "one_chord",
+            "change_point_one_ulp_above_a_sample"]
+
+
+def screened_shard_mismatches(monkeypatch, cases, stop_at_first=False):
+    """Shards whose ``_shard_counts`` differ from ``exact_shard_counts``, and
+    the share of screened samples that took the exact path (float64
+    ``arctan2`` elements over float32 ones)."""
+    oracle = sectorbalance.oracle
+    inner = np.arctan2
+    seen = {"float32": 0, "float64": 0}
+
+    def counted(*args, **kwargs):
+        t = inner(*args, **kwargs)
+        seen[t.dtype.name] += t.size
+        return t
+
+    monkeypatch.setattr(np, "arctan2", counted)
+    mismatches = []
+    for cfg, fan, seed, shards in cases:
+        taus, _ = oracle._sector_change_points(build_partition(fan))
+        table = oracle._screen_table(taus)
+        for shard, m in shards:
+            got = oracle._shard_counts(cfg, taus, table, seed, shard, m)
+            if got.tolist() != exact_shard_counts(cfg, taus, seed, shard, m).tolist():
+                mismatches.append((cfg, fan, seed, shard))
+                if stop_at_first:
+                    return mismatches, None
+    return mismatches, seen["float64"] / seen["float32"]
+
+
+class TestScreenedCounts:
+    """``_shard_counts`` screens in float32 and rechecks in float64 only the
+    samples near a change point, near +-pi or near the pole; every count must
+    still equal the float64 expression's, and the rechecked share must stay
+    between a floor and a ceiling, so a screen that flags nothing or
+    everything fails here."""
+
+    def test_gate_poles_first_and_last_shard(self, monkeypatch):
+        mismatches, share = screened_shard_mismatches(monkeypatch, gate_pole_shards())
+        assert mismatches == []
+        assert 1e-4 <= share <= 2e-2
+
+    @pytest.mark.parametrize("case", edge_shards(), ids=EDGE_IDS)
+    def test_edge_cases(self, monkeypatch, case):
+        mismatches, share = screened_shard_mismatches(monkeypatch, [case])
+        assert mismatches == []
+        assert 1e-4 <= share <= 2e-2
+
+    def test_margin_zero_is_caught(self, monkeypatch):
+        # No angle bin flagged: only samples near the pole are rechecked.
+        real = sectorbalance.oracle._screen_table
+        monkeypatch.setattr(sectorbalance.oracle, "_screen_table",
+                            lambda taus: np.zeros_like(real(taus)))
+        mismatches, _ = screened_shard_mismatches(
+            monkeypatch, [*edge_shards(), *gate_pole_shards()], stop_at_first=True)
+        assert mismatches
+
+    def test_biased_screen_is_caught(self, monkeypatch):
+        real = np.arctan2
+
+        def biased(*args, **kwargs):
+            t = real(*args, **kwargs)
+            if t.dtype == np.float32:
+                t += np.float32(1e-3)
+            return t
+
+        monkeypatch.setattr(np, "arctan2", biased)
+        mismatches, _ = screened_shard_mismatches(
+            monkeypatch, [*edge_shards(), *gate_pole_shards()], stop_at_first=True)
+        assert mismatches
+
+    def test_one_sample_off_in_one_shard_is_caught(self, monkeypatch):
+        # The fault check_pizza_cancellation cannot see (tests/test_verify.py).
+        real = sectorbalance.oracle._shard_counts
+
+        def off_by_one(cfg, taus, table, seed, shard, m):
+            counts = real(cfg, taus, table, seed, shard, m)
+            counts[0] += shard == 0
+            return counts
+
+        monkeypatch.setattr(sectorbalance.oracle, "_shard_counts", off_by_one)
+        mismatches, _ = screened_shard_mismatches(
+            monkeypatch, [*edge_shards(), *gate_pole_shards()], stop_at_first=True)
+        assert mismatches
+
+
+class TestScreenBound:
+    """The bound behind the screen, measured on this platform: a platform
+    whose float32 ufuncs miss it fails here, and ``montecarlo_area`` has no
+    fallback, so its counts could otherwise drift there."""
+
+    def test_float32_ufuncs_within_the_assumed_error(self):
+        rng = np.random.default_rng(2027)
+        ang = (rng.random(1 << 20) * TWO_PI).astype(np.float32)
+        for f in (np.sin, np.cos):
+            want = f(ang.astype(np.float64))
+            ulp = np.spacing(np.abs(want).astype(np.float32)).astype(np.float64)
+            assert np.max(np.abs(f(ang) - want) / ulp) <= 2.0, f.__name__
+        # Sample points in units of a, as the screen sees them.
+        x, y = (rng.uniform(-2.0, 2.0, 1 << 20).astype(np.float32) for _ in range(2))
+        want = np.arctan2(y.astype(np.float64), x.astype(np.float64))
+        assert np.max(np.abs(np.arctan2(y, x) - want)) <= 2e-6
+
+    def test_screened_angle_within_a_tenth_of_the_margin(self):
+        rng = np.random.default_rng(2028)
+        worst = 0.0
+        kept = 0
+        for r0 in (0.0, 0.2, 0.5, 0.8, 0.95):
+            for theta0 in (0.4, -2.9):
+                cfg = CircleConfig(1.7, r0 * 1.7, theta0)
+                s = np.sqrt(rng.random(120_000))
+                ang = rng.random(120_000) * TWO_PI
+                t32, rho2 = sectorbalance.oracle._screen(cfg, s, ang)
+                t = np.arctan2(cfg.r0 * math.sin(theta0) + cfg.a * s * np.sin(ang),
+                               cfg.r0 * math.cos(theta0) + cfg.a * s * np.cos(ang))
+                far = rho2 >= np.float32(_SCREEN_RHO * _SCREEN_RHO)
+                gap = np.abs(np.mod(t32[far] - t[far] + PI, TWO_PI) - PI)
+                worst = max(worst, float(gap.max()))
+                kept += int(far.sum())
+        assert kept >= 1_000_000
+        assert worst <= _SCREEN_MARGIN / 10

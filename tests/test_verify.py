@@ -1,9 +1,10 @@
 import itertools
+import re
 from pathlib import Path
 
 import pytest
 
-from sectorbalance import area_report, cli, solver, verify
+from sectorbalance import area_report, cli, oracle, solver, verify
 from sectorbalance.verify import (
     check_determinism,
     check_pizza_cancellation,
@@ -55,6 +56,28 @@ class TestPizzaCancellation:
         assert len(calls) == 100
         assert "<= 4.85" in check.detail
         assert not check.passed, check.detail
+
+    def test_one_sample_off_per_shard_is_below_what_it_can_see(self, monkeypatch):
+        # One sample moved from one piece to the next in each of a pole's 16
+        # shards moves a sector's |z| by 16/sqrt(1e6 * p*(1-p)): 0.05 at
+        # p = 1/8, 0.09 here, against a bound of 4.16, so the check passes.
+        # Only the exact-count tests of the screen (tests/test_oracle.py)
+        # catch such a fault.
+        def worst_z(check):
+            return float(re.search(r"worst Monte Carlo \|z\| = ([0-9.]+)", check.detail)[1])
+
+        clean = check_pizza_cancellation(0, 4, 1_000_000)
+        real = oracle._shard_counts
+
+        def off_by_one(*args):
+            counts = real(*args)
+            counts[0] += 1
+            return counts
+
+        monkeypatch.setattr(oracle, "_shard_counts", off_by_one)
+        faulty = check_pizza_cancellation(0, 4, 1_000_000)
+        assert clean.passed and faulty.passed, faulty.detail
+        assert 0.0 < abs(worst_z(faulty) - worst_z(clean)) <= 0.2
 
     @pytest.mark.parametrize("seed", range(5))
     def test_hundred_samples_return_a_result(self, seed):
